@@ -25,7 +25,7 @@ use bench::report::{json_flag, record_table, TableStats};
 use slo::analysis::{
     analyze_program, correlation, relative_hotness, IspboConfig, LegalityConfig, WeightScheme,
 };
-use slo::pipeline::{compile, evaluate, Evaluation, PipelineConfig};
+use slo::pipeline::{compile, evaluate, evaluate_against, Evaluation, PipelineConfig};
 use slo::vm::VmOptions;
 use slo_transform::HeuristicsConfig;
 use slo_workloads::{all, mcf, InputSet};
@@ -116,16 +116,18 @@ fn threshold_sweep() -> SimWork {
         iters: 40,
         skew: 0,
     });
-    let fb = slo::collect_profile(&prog).expect("profile");
+    // the instrumented profile run doubles as every sweep point's baseline
+    let profile = slo::vm::run(&prog, &VmOptions::profiling()).expect("profile");
     let sweep = [0.5, 1.0, 3.0, 7.5, 15.0, 30.0, 60.0];
     let rows = par_map(&sweep, |&ts| {
         let cfg = PipelineConfig::builder().split_threshold(ts).build();
-        let res = compile(&prog, &WeightScheme::Pbo(&fb), &cfg).expect("pipeline");
+        let res = compile(&prog, &WeightScheme::Pbo(&profile.feedback), &cfg).expect("pipeline");
         let mut split = 0;
         for t in res.plan.types.values() {
             split += t.sd_count().0;
         }
-        let eval = evaluate(&prog, &res.program, &VmOptions::default()).expect("evaluate");
+        let eval =
+            evaluate_against(&profile, &res.program, &VmOptions::default()).expect("evaluate");
         (res.plan.num_transformed(), split, eval)
     });
     for (&ts, (transformed, split, eval)) in sweep.iter().zip(&rows) {

@@ -5,7 +5,7 @@ pub mod par;
 pub mod report;
 
 use slo::analysis::WeightScheme;
-use slo::pipeline::{compile, evaluate, PipelineConfig};
+use slo::pipeline::{compile, evaluate, evaluate_against, PipelineConfig};
 use slo_vm::VmOptions;
 use slo_workloads::Workload;
 
@@ -55,17 +55,20 @@ pub struct PerfRow {
 /// Panics when compilation or execution fails — experiment binaries want
 /// loud failures.
 pub fn measure(w: &Workload, pbo: bool) -> PerfRow {
-    let feedback = if pbo {
-        Some(slo::collect_profile(&w.program).expect("profile collection"))
-    } else {
-        None
-    };
-    let scheme = match &feedback {
-        Some(fb) => WeightScheme::Pbo(fb),
+    // the instrumented profile run doubles as the baseline evaluation
+    let profile =
+        pbo.then(|| slo_vm::run(&w.program, &VmOptions::profiling()).expect("profile run"));
+    let scheme = match &profile {
+        Some(p) => WeightScheme::Pbo(&p.feedback),
         None => WeightScheme::Ispbo,
     };
     let res = compile(&w.program, &scheme, &PipelineConfig::default()).expect("pipeline");
-    let eval = evaluate(&w.program, &res.program, &VmOptions::default()).expect("evaluate");
+    let plain = VmOptions::default();
+    let eval = match &profile {
+        Some(p) => evaluate_against(p, &res.program, &plain),
+        None => evaluate(&w.program, &res.program, &plain),
+    }
+    .expect("evaluate");
 
     let mut split_fields = 0;
     let mut dead_fields = 0;

@@ -134,6 +134,89 @@ fn engines_agree_on_transformed_programs() {
 }
 
 #[test]
+fn instrumented_stats_minus_instrument_cycles_equal_plain_stats() {
+    // A PBO job's profile run doubles as its baseline evaluation; that
+    // is exact only if edge instrumentation is the sole cost a profiling
+    // run adds and every charged cycle is counted in `instrument_cycles`.
+    for (name, prog) in small_suite() {
+        for plain_opts in [VmOptions::plain(), VmOptions::plain().structured()] {
+            let engine = plain_opts.engine;
+            let prof_opts = VmOptions {
+                collect_edges: true,
+                sample_dcache: true,
+                ..plain_opts.clone()
+            };
+            let plain =
+                run(&prog, &plain_opts).unwrap_or_else(|e| panic!("{name}/{engine:?} plain: {e}"));
+            let prof = run(&prog, &prof_opts)
+                .unwrap_or_else(|e| panic!("{name}/{engine:?} profiling: {e}"));
+            assert_eq!(prof.exit, plain.exit, "{name}/{engine:?}: exit diverged");
+            assert_eq!(plain.stats.instrument_cycles, 0, "{name}/{engine:?}");
+            assert!(prof.stats.instrument_cycles > 0, "{name}/{engine:?}");
+            assert_eq!(
+                prof.stats.without_instrumentation(),
+                plain.stats,
+                "{name}/{engine:?}: uninstrumented stats diverged from a plain run"
+            );
+        }
+    }
+}
+
+#[test]
+fn stride_table_cap_and_tie_break_match_reference() {
+    // One load site (bb5, index 1) sees the element deltas 1..=39 once
+    // each (only the first 32 fit the table), then +3 and +5 ten times
+    // each: both end at 11 hits and the tie breaks toward the smaller.
+    let prog = slo_ir::parser::parse(
+        r#"
+func main() -> i64 {
+bb0:
+  r0 = alloc i64, 1024
+  r1 = 0
+  r2 = 0
+  r3 = 0
+  jump bb1
+bb1:
+  r4 = cmp.lt r1, 60
+  br r4, bb2, bb6
+bb2:
+  r5 = cmp.lt r1, 40
+  br r5, bb3, bb4
+bb3:
+  r2 = add r2, r1
+  jump bb5
+bb4:
+  r6 = and r1, 1
+  r7 = mul r6, 2
+  r8 = add r7, 3
+  r2 = add r2, r8
+  jump bb5
+bb5:
+  r9 = indexaddr r0, i64, r2
+  r10 = load r9 : i64
+  r3 = add r3, r10
+  r1 = add r1, 1
+  jump bb1
+bb6:
+  ret r3
+}
+"#,
+    )
+    .expect("parse");
+    let opts = VmOptions::profiling();
+    let d = run(&prog, &opts).expect("decoded");
+    let s = run(&prog, &opts.clone().structured()).expect("structured");
+    let strides = |o: &slo_vm::ExecOutcome| o.feedback.funcs["main"].strides.clone();
+    assert_eq!(strides(&d), strides(&s), "stride profiles diverged");
+    let load = strides(&d)[&(5, 1)];
+    assert_eq!(
+        (load.dominant, load.hits, load.samples),
+        (3 * 8, 11, 32 + 20),
+        "dominant stride, its hits, all counted deltas"
+    );
+}
+
+#[test]
 fn step_limit_identical_across_engines() {
     // Decoded instructions must count exactly like structured ones: a
     // limit one short of the full run fails on both engines, the exact

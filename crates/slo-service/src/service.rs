@@ -38,7 +38,7 @@ use slo::analysis::{ipa_fingerprint, WeightScheme};
 use slo::{Analysis, Evaluation};
 use slo_chaos::{fnv1a, Clock, FaultPlan, RetryPolicy};
 use slo_ir::{printer::print_program, Program};
-use slo_vm::{ExecError, Feedback, VmOptions};
+use slo_vm::{ExecError, ExecOutcome, Feedback, VmOptions};
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -394,6 +394,10 @@ impl Service {
         }
 
         // --- profile (PBO only) --------------------------------------
+        // The instrumented run doubles as the baseline evaluation: its
+        // stats minus the edge-instrumentation cycles are exactly those
+        // of a plain run under the same step budget.
+        let mut profiled: Option<ExecOutcome> = None;
         let owned_fb: Option<Feedback> = match &job.scheme {
             SchemeSpec::Pbo => {
                 let opts = VmOptions::builder()
@@ -411,7 +415,12 @@ impl Service {
                 };
                 jm.borrow_mut().exec += t.elapsed();
                 match run {
-                    Ok(out) => Some(out.feedback),
+                    Ok(mut out) => {
+                        let fb = std::mem::take(&mut out.feedback);
+                        out.stats = out.stats.without_instrumentation();
+                        profiled = Some(out);
+                        Some(fb)
+                    }
                     Err(ExecError::StepLimit) => {
                         return JobStatus::Advisory {
                             reason: Degradation::Budget(
@@ -559,9 +568,15 @@ impl Service {
             reason,
             report: Some(advisory_report(prog, &analysis)),
         };
-        let t = Instant::now();
-        let base = slo_vm::run(prog, &opts);
-        jm.borrow_mut().exec += t.elapsed();
+        let base = match profiled {
+            Some(o) => Ok(o),
+            None => {
+                let t = Instant::now();
+                let base = slo_vm::run(prog, &opts);
+                jm.borrow_mut().exec += t.elapsed();
+                base
+            }
+        };
         let base = match base {
             Ok(o) => o,
             Err(ExecError::StepLimit) => {

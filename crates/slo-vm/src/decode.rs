@@ -31,10 +31,9 @@ use crate::interp::{ExecError, ExecOutcome, ExecStats, VmOptions, FNPTR_BASE};
 use crate::profile::Feedback;
 use crate::value::Value;
 use slo_ir::{BinOp, CmpOp, FuncId, Instr, Operand, Program, Reg, ScalarKind, Type};
-use std::collections::HashMap;
 
-/// Sentinel meaning "this memory site has not been executed yet" in the
-/// last-address side table. Real data addresses never take this value:
+/// Sentinel meaning "this memory site has not been executed yet" in a
+/// stride table's last address. Real data addresses never take this value:
 /// the heap hands out low addresses and function pointers live at
 /// `FNPTR_BASE + index`.
 const NO_ADDR: u64 = u64::MAX;
@@ -709,6 +708,60 @@ struct DFrame {
     ret_dst: Option<u32>,
 }
 
+/// Distinct deltas a memory site's stride table holds; once full, only
+/// deltas already present keep counting (the structured engine's rule).
+const STRIDE_CAP: usize = 32;
+
+/// Per-site stride state: the site's last address and a fixed-capacity
+/// table of `(delta, count)` pairs in first-seen order, searched
+/// linearly. A site sees a handful of distinct deltas, so the scan is
+/// cheaper than hashing on every access.
+#[derive(Clone, Copy)]
+struct StrideTable {
+    last: u64,
+    len: usize,
+    pairs: [(i64, u64); STRIDE_CAP],
+}
+
+impl StrideTable {
+    const EMPTY: StrideTable = StrideTable {
+        last: NO_ADDR,
+        len: 0,
+        pairs: [(0, 0); STRIDE_CAP],
+    };
+
+    /// Count the delta from the site's previous address to `addr`.
+    #[inline]
+    fn observe(&mut self, addr: u64) {
+        let prev = std::mem::replace(&mut self.last, addr);
+        if prev == NO_ADDR {
+            return;
+        }
+        let delta = addr.wrapping_sub(prev) as i64;
+        let used = &mut self.pairs[..self.len];
+        if let Some(p) = used.iter_mut().find(|p| p.0 == delta) {
+            p.1 += 1;
+        } else if self.len < STRIDE_CAP {
+            self.pairs[self.len] = (delta, 1);
+            self.len += 1;
+        }
+    }
+
+    /// The dominant stride; count ties break toward the smallest delta,
+    /// as in the structured engine. `None` before a second access.
+    fn summary(&self) -> Option<crate::profile::StrideInfo> {
+        let used = &self.pairs[..self.len];
+        let &(dominant, hits) = used
+            .iter()
+            .max_by_key(|&&(d, c)| (c, std::cmp::Reverse(d)))?;
+        Some(crate::profile::StrideInfo {
+            dominant,
+            hits,
+            samples: used.iter().map(|p| p.1).sum(),
+        })
+    }
+}
+
 /// Per-site accumulator for sampled d-cache events.
 #[derive(Clone, Copy, Default)]
 struct SampleAcc {
@@ -729,8 +782,7 @@ struct DecVm<'p> {
     access_counter: u64,
     // Dense profile side tables, indexed [func][site]. Allocated only
     // when the corresponding collection flag is on.
-    mem_last: Vec<Vec<u64>>,
-    stride_hist: Vec<Vec<HashMap<i64, u64>>>,
+    strides: Vec<Vec<StrideTable>>,
     samples: Vec<Vec<SampleAcc>>,
     edge_counts: Vec<Vec<u64>>,
     entry_counts: Vec<u64>,
@@ -757,15 +809,11 @@ impl<'p> DecVm<'p> {
         let cache = CacheSim::new(opts.cache.clone());
         let feedback = Feedback::new(opts.sample_period);
         let nfuncs = dec.funcs.len();
-        let (mem_last, stride_hist, samples) = if opts.sample_dcache {
+        let (strides, samples) = if opts.sample_dcache {
             (
                 dec.funcs
                     .iter()
-                    .map(|f| vec![NO_ADDR; f.mem_site_src.len()])
-                    .collect(),
-                dec.funcs
-                    .iter()
-                    .map(|f| vec![HashMap::new(); f.mem_site_src.len()])
+                    .map(|f| vec![StrideTable::EMPTY; f.mem_site_src.len()])
                     .collect(),
                 dec.funcs
                     .iter()
@@ -773,7 +821,7 @@ impl<'p> DecVm<'p> {
                     .collect(),
             )
         } else {
-            (Vec::new(), Vec::new(), Vec::new())
+            (Vec::new(), Vec::new())
         };
         let edge_counts = if opts.collect_edges {
             dec.funcs
@@ -793,8 +841,7 @@ impl<'p> DecVm<'p> {
             global_addr,
             stats: ExecStats::default(),
             access_counter: 0,
-            mem_last,
-            stride_hist,
+            strides,
             samples,
             edge_counts,
             entry_counts: vec![0; nfuncs],
@@ -840,21 +887,13 @@ impl<'p> DecVm<'p> {
                         s.total_latency += acc.total_latency;
                     }
                 }
-                for (site, hist) in self.stride_hist[fi].iter().enumerate() {
-                    let total: u64 = hist.values().sum();
-                    let Some((&dominant, &hits)) =
-                        hist.iter().max_by_key(|(&d, &c)| (c, std::cmp::Reverse(d)))
-                    else {
-                        continue;
-                    };
-                    self.feedback.func_mut(&f.name).strides.insert(
-                        df.mem_site_src[site],
-                        crate::profile::StrideInfo {
-                            dominant,
-                            hits,
-                            samples: total,
-                        },
-                    );
+                for (site, table) in self.strides[fi].iter().enumerate() {
+                    if let Some(info) = table.summary() {
+                        self.feedback
+                            .func_mut(&f.name)
+                            .strides
+                            .insert(df.mem_site_src[site], info);
+                    }
                 }
             }
         }
@@ -867,15 +906,7 @@ impl<'p> DecVm<'p> {
         let r = self.cache.access(addr, fp);
         self.access_counter += 1;
         if self.opts.sample_dcache {
-            let last = &mut self.mem_last[fid.index()][site as usize];
-            let prev = std::mem::replace(last, addr);
-            if prev != NO_ADDR {
-                let delta = addr.wrapping_sub(prev) as i64;
-                let hist = &mut self.stride_hist[fid.index()][site as usize];
-                if hist.len() < 32 || hist.contains_key(&delta) {
-                    *hist.entry(delta).or_insert(0) += 1;
-                }
-            }
+            self.strides[fid.index()][site as usize].observe(addr);
             if self.access_counter.is_multiple_of(self.opts.sample_period) {
                 let s = &mut self.samples[fid.index()][site as usize];
                 s.samples += 1;
@@ -897,6 +928,7 @@ impl<'p> DecVm<'p> {
         if self.opts.collect_edges {
             self.edge_counts[fid.index()][edge_site as usize] += 1;
             self.stats.cycles += self.opts.cost.instrument_edge_cost;
+            self.stats.instrument_cycles += self.opts.cost.instrument_edge_cost;
         }
     }
 

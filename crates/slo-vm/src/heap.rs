@@ -156,10 +156,12 @@ impl Heap {
         if addr == 0 {
             return Err(MemError::NullDeref);
         }
-        if addr < BASE.min(0x100) || (addr + size) as usize > self.mem.len() {
-            return Err(MemError::OutOfBounds { addr, size });
+        // `checked_add`: a pointer near `u64::MAX` must not wrap past
+        // the bounds test
+        match addr.checked_add(size) {
+            Some(end) if addr >= BASE.min(0x100) && end <= self.mem.len() as u64 => Ok(()),
+            _ => Err(MemError::OutOfBounds { addr, size }),
         }
-        Ok(())
     }
 
     /// Read `size` bytes little-endian as an unsigned integer.
@@ -350,6 +352,25 @@ mod tests {
         let far = a + 1 << 30;
         assert!(matches!(
             h.read_bytes(far, 8),
+            Err(MemError::OutOfBounds { .. })
+        ));
+    }
+
+    #[test]
+    fn oob_near_address_space_end_does_not_wrap() {
+        let mut h = Heap::new();
+        let a = h.alloc(64);
+        let top = u64::MAX - 3;
+        assert_eq!(
+            h.read_bytes(top, 8),
+            Err(MemError::OutOfBounds { addr: top, size: 8 })
+        );
+        assert!(matches!(
+            h.memcpy(a, top, 8),
+            Err(MemError::OutOfBounds { .. })
+        ));
+        assert!(matches!(
+            h.memset(top, 0, 8),
             Err(MemError::OutOfBounds { .. })
         ));
     }

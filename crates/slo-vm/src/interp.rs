@@ -241,6 +241,25 @@ pub struct ExecStats {
     pub peak_live_bytes: u64,
     /// Heap bytes still live when the program exited (its leaks).
     pub leaked_bytes: u64,
+    /// The part of `cycles` charged by edge instrumentation
+    /// ([`CostModel::instrument_edge_cost`] per counted edge); 0 unless
+    /// [`VmOptions::collect_edges`] is on.
+    pub instrument_cycles: u64,
+}
+
+impl ExecStats {
+    /// The stats the same run would have reported without
+    /// instrumentation. Edge counting is the only collection that
+    /// charges cycles (d-cache sampling only reads cache results), so
+    /// an instrumented run's stats minus its `instrument_cycles` equal
+    /// a plain run's stats field for field. Identity on a plain run.
+    pub fn without_instrumentation(&self) -> ExecStats {
+        ExecStats {
+            cycles: self.cycles - self.instrument_cycles,
+            instrument_cycles: 0,
+            ..self.clone()
+        }
+    }
 }
 
 /// Result of a successful run.
@@ -499,6 +518,7 @@ impl<'p> Vm<'p> {
                 .entry((from.0, to.0))
                 .or_insert(0) += 1;
             self.stats.cycles += self.opts.cost.instrument_edge_cost;
+            self.stats.instrument_cycles += self.opts.cost.instrument_edge_cost;
         }
     }
 

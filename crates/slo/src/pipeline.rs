@@ -442,15 +442,33 @@ pub fn evaluate(
     opts: &slo_vm::VmOptions,
 ) -> Result<Evaluation, SloError> {
     let b = slo_vm::run(baseline, opts)?;
+    evaluate_against(&b, optimized, opts)
+}
+
+/// [`evaluate`] against a finished run of the baseline program, such as
+/// the instrumented [`collect_profile`] run: its stats are taken
+/// [without instrumentation](slo_vm::ExecStats::without_instrumentation),
+/// which equals a plain run under `opts`, so PBO saves one VM run.
+///
+/// # Errors
+///
+/// Propagates VM execution errors of the optimized run; also fails if
+/// the two programs do not compute the same result.
+pub fn evaluate_against(
+    baseline: &slo_vm::ExecOutcome,
+    optimized: &Program,
+    opts: &slo_vm::VmOptions,
+) -> Result<Evaluation, SloError> {
+    let b = baseline.stats.without_instrumentation();
     let o = slo_vm::run(optimized, opts)?;
     assert_eq!(
-        b.exit, o.exit,
+        baseline.exit, o.exit,
         "transformed program changed the computed result"
     );
     Ok(Evaluation {
-        baseline_cycles: b.stats.cycles,
+        baseline_cycles: b.cycles,
         optimized_cycles: o.stats.cycles,
-        baseline_instructions: b.stats.instructions,
+        baseline_instructions: b.instructions,
         optimized_instructions: o.stats.instructions,
     })
 }

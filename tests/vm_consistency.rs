@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use slo_ir::parser::parse;
-use slo_vm::{run, CacheConfig, CacheLevelConfig, CacheSim, VmOptions};
+use slo_vm::{run, CacheConfig, CacheLevelConfig, CacheSim, ExecError, MemError, VmOptions};
 
 const WORKLOAD: &str = r#"
 record cell { a: i64, b: f64, c: i64, d: i64 }
@@ -138,6 +138,31 @@ fn smaller_cache_means_more_misses() {
     assert_eq!(big.exit, small.exit);
     assert!(small.stats.cycles > big.stats.cycles);
     assert!(small.stats.cache.memory_accesses > big.stats.cache.memory_accesses);
+}
+
+#[test]
+fn pointer_near_address_space_end_is_out_of_bounds_on_both_engines() {
+    // verifier-valid: the cast pointer is `u64::MAX - 3`, so an
+    // unchecked `addr + size` would wrap past the heap bounds test
+    let p = parse(
+        "func main() -> i64 {\nbb0:\n  r2 = alloc i64, 64\n  r0 = cast -4 : i64 -> ptr<i64>\n  r1 = load r0 : i64\n  ret r1\n}",
+    )
+    .expect("parse");
+    assert!(slo_ir::verify::verify(&p).is_empty(), "program must verify");
+    for opts in [VmOptions::default(), VmOptions::default().structured()] {
+        let err = run(&p, &opts).map(|o| o.exit).expect_err("load must fault");
+        assert!(
+            matches!(
+                err,
+                ExecError::MemAt {
+                    err: MemError::OutOfBounds { .. },
+                    ..
+                }
+            ),
+            "{:?}: {err:?}",
+            opts.engine
+        );
+    }
 }
 
 proptest! {
