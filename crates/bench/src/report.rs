@@ -6,12 +6,11 @@
 //! and wall time per table. Successive PRs append to the same file, so
 //! the substrate's own speed is tracked like any other benchmark.
 //!
-//! The container has no serde, so this module carries a deliberately
-//! small JSON value type with a printer and a recursive-descent parser —
-//! just enough to round-trip the file it owns.
+//! The file is read and written through the shared [`slo_obs::json`]
+//! module. A file that exists but does not parse is never overwritten:
+//! it holds the whole trajectory.
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use slo_obs::json::Json;
 use std::path::{Path, PathBuf};
 
 /// Trajectory file name, resolved at the workspace root by default.
@@ -30,312 +29,32 @@ fn bench_json_path() -> PathBuf {
     }
 }
 
-/// A JSON value. Objects use a `BTreeMap` so output is deterministic.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number (stored as `f64`; counters here stay well below 2^53).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object.
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    /// Empty object.
-    pub fn object() -> Json {
-        Json::Obj(BTreeMap::new())
-    }
-
-    /// Insert into an object (panics if `self` is not an object).
-    pub fn set(&mut self, key: &str, value: Json) {
-        match self {
-            Json::Obj(m) => {
-                m.insert(key.to_string(), value);
-            }
-            _ => panic!("Json::set on a non-object"),
+/// Merge one section into the trajectory file at `path` and report it
+/// on stderr as `[json] <summary> -> <path>`. `update` edits the root
+/// object after `schema` is set. A missing file starts a fresh document;
+/// a file that cannot be read or is not a JSON object is left untouched
+/// (it holds the whole trajectory) and the error is printed instead.
+fn merge(path: &Path, summary: &str, update: impl FnOnce(&mut Json)) {
+    let loaded = match std::fs::read_to_string(path) {
+        Ok(text) => Json::parse(&text).and_then(|root| match root {
+            Json::Obj(_) => Ok(root),
+            _ => Err("the top level is not an object".to_string()),
+        }),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Json::object()),
+        Err(e) => Err(e.to_string()),
+    };
+    let mut root = match loaded {
+        Ok(root) => root,
+        Err(e) => {
+            eprintln!("[json] {} left untouched: {e}", path.display());
+            return;
         }
-    }
-
-    /// Fetch a key from an object, if present.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-
-    /// Fetch a key from an object, inserting an empty object if absent
-    /// or if the existing value is not an object.
-    pub fn entry_object(&mut self, key: &str) -> &mut Json {
-        let Json::Obj(m) = self else {
-            panic!("Json::entry_object on a non-object")
-        };
-        let e = m.entry(key.to_string()).or_insert_with(Json::object);
-        if !matches!(e, Json::Obj(_)) {
-            *e = Json::object();
-        }
-        e
-    }
-
-    /// The numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// Pretty-print with two-space indentation and a trailing newline.
-    pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        let pad = "  ".repeat(indent + 1);
-        let close = "  ".repeat(indent);
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-            Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 9e15 {
-                    let _ = write!(out, "{}", *n as i64);
-                } else {
-                    let _ = write!(out, "{n}");
-                }
-            }
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    let _ = write!(out, "{}{pad}", if i == 0 { "\n" } else { ",\n" });
-                    v.write(out, indent + 1);
-                }
-                let _ = write!(out, "\n{close}]");
-            }
-            Json::Obj(m) => {
-                if m.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in m.iter().enumerate() {
-                    let _ = write!(out, "{}{pad}", if i == 0 { "\n" } else { ",\n" });
-                    write_escaped(out, k);
-                    out.push_str(": ");
-                    v.write(out, indent + 1);
-                }
-                let _ = write!(out, "\n{close}}}");
-            }
-        }
-    }
-
-    /// Parse a JSON document.
-    ///
-    /// # Errors
-    ///
-    /// Returns a short position-tagged message on malformed input.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    /// Load and parse a file; `None` if it doesn't exist or is invalid
-    /// (a corrupt trajectory file is started over, not fatal).
-    pub fn load(path: &Path) -> Option<Json> {
-        let text = std::fs::read_to_string(path).ok()?;
-        Json::parse(&text).ok()
-    }
-
-    /// Write the pretty form to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        std::fs::write(path, self.pretty())
-    }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    if b.get(*pos) == Some(&c) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected `{}` at byte {pos}", c as char))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => {
-            *pos += 1;
-            let mut m = BTreeMap::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(m));
-            }
-            loop {
-                skip_ws(b, pos);
-                let Json::Str(key) = parse_string(b, pos)? else {
-                    unreachable!()
-                };
-                skip_ws(b, pos);
-                expect(b, pos, b':')?;
-                m.insert(key, parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(m));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => parse_string(b, pos),
-        Some(b't') if b[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if b[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(b'n') if b[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(Json::Null)
-        }
-        Some(_) => {
-            let start = *pos;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-            text.parse::<f64>()
-                .map(Json::Num)
-                .map_err(|_| format!("bad number `{text}` at byte {start}"))
-        }
-        None => Err("unexpected end of input".to_string()),
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(b, pos, b'"')?;
-    let mut s = String::new();
-    loop {
-        match b.get(*pos) {
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(Json::Str(s));
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => s.push('"'),
-                    Some(b'\\') => s.push('\\'),
-                    Some(b'/') => s.push('/'),
-                    Some(b'n') => s.push('\n'),
-                    Some(b't') => s.push('\t'),
-                    Some(b'r') => s.push('\r'),
-                    Some(b'b') => s.push('\u{8}'),
-                    Some(b'f') => s.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                            16,
-                        )
-                        .map_err(|e| e.to_string())?;
-                        s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // advance one whole UTF-8 scalar
-                let start = *pos;
-                *pos += 1;
-                while *pos < b.len() && (b[*pos] & 0xC0) == 0x80 {
-                    *pos += 1;
-                }
-                s.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?);
-            }
-            None => return Err("unterminated string".to_string()),
-        }
+    };
+    root.set("schema", Json::Str("slo-bench-v1".to_string()));
+    update(&mut root);
+    match std::fs::write(path, root.pretty()) {
+        Ok(()) => eprintln!("[json] {summary} -> {}", path.display()),
+        Err(e) => eprintln!("[json] failed to write {}: {e}", path.display()),
     }
 }
 
@@ -362,8 +81,8 @@ impl TableStats {
     fn to_json(self) -> Json {
         let mut o = Json::object();
         o.set("wall_seconds", Json::Num(self.wall_seconds));
-        o.set("instructions", Json::Num(self.instructions as f64));
-        o.set("cycles", Json::Num(self.cycles as f64));
+        o.set("instructions", Json::U64(self.instructions));
+        o.set("cycles", Json::U64(self.cycles));
         o.set("instr_per_sec", Json::Num(self.instr_per_sec()));
         o
     }
@@ -373,37 +92,21 @@ impl TableStats {
 /// the `BENCH_JSON_PATH` environment variable) and report what was
 /// written. Call only when the driver saw `--json`.
 pub fn record_table(table: &str, stats: TableStats) {
-    let path = bench_json_path();
-    let path = path.as_path();
-    let mut root = Json::load(path).unwrap_or_else(Json::object);
-    if !matches!(root, Json::Obj(_)) {
-        root = Json::object();
-    }
-    root.set("schema", Json::Str("slo-bench-v1".to_string()));
-    root.entry_object("tables").set(table, stats.to_json());
-    match root.save(path) {
-        Ok(()) => eprintln!(
-            "[json] {table}: {:.2}s wall, {} simulated instructions, {:.2e} instr/s -> {}",
-            stats.wall_seconds,
-            stats.instructions,
-            stats.instr_per_sec(),
-            path.display()
-        ),
-        Err(e) => eprintln!("[json] failed to write {}: {e}", path.display()),
-    }
+    let summary = format!(
+        "{table}: {:.2}s wall, {} simulated instructions, {:.2e} instr/s",
+        stats.wall_seconds,
+        stats.instructions,
+        stats.instr_per_sec()
+    );
+    merge(&bench_json_path(), &summary, |root| {
+        root.entry_object("tables").set(table, stats.to_json());
+    });
 }
 
 /// Merge one `interp_hot_loop` engine comparison into `BENCH_vm.json`
 /// under `hot_loop.<bench>`: host-side instructions/second for each
 /// engine and the decoded/structured speedup ratio.
 pub fn record_hot_loop(bench: &str, decoded_ips: f64, structured_ips: f64) {
-    let path = bench_json_path();
-    let path = path.as_path();
-    let mut root = Json::load(path).unwrap_or_else(Json::object);
-    if !matches!(root, Json::Obj(_)) {
-        root = Json::object();
-    }
-    root.set("schema", Json::Str("slo-bench-v1".to_string()));
     let mut entry = Json::object();
     entry.set("decoded_instr_per_sec", Json::Num(decoded_ips));
     entry.set("structured_instr_per_sec", Json::Num(structured_ips));
@@ -413,15 +116,13 @@ pub fn record_hot_loop(bench: &str, decoded_ips: f64, structured_ips: f64) {
         0.0
     };
     entry.set("speedup", Json::Num(speedup));
-    root.entry_object("hot_loop").set(bench, entry);
-    match root.save(path) {
-        Ok(()) => eprintln!(
-            "[json] hot_loop/{bench}: decoded {decoded_ips:.2e} i/s, structured \
-             {structured_ips:.2e} i/s, {speedup:.2}x -> {}",
-            path.display()
-        ),
-        Err(e) => eprintln!("[json] failed to write {}: {e}", path.display()),
-    }
+    let summary = format!(
+        "hot_loop/{bench}: decoded {decoded_ips:.2e} i/s, structured \
+         {structured_ips:.2e} i/s, {speedup:.2}x"
+    );
+    merge(&bench_json_path(), &summary, |root| {
+        root.entry_object("hot_loop").set(bench, entry);
+    });
 }
 
 /// Merge tracing-overhead measurements for one `interp_hot_loop` bench
@@ -430,31 +131,22 @@ pub fn record_hot_loop(bench: &str, decoded_ips: f64, structured_ips: f64) {
 /// explicit no-op recorder, and with an enabled sampled recorder, plus
 /// the no-op overhead in percent (the tentpole's ≤ 3% budget).
 pub fn record_hot_loop_trace(bench: &str, baseline_ips: f64, noop_ips: f64, sampled_ips: f64) {
-    let path = bench_json_path();
-    let path = path.as_path();
-    let mut root = Json::load(path).unwrap_or_else(Json::object);
-    if !matches!(root, Json::Obj(_)) {
-        root = Json::object();
-    }
-    root.set("schema", Json::Str("slo-bench-v1".to_string()));
     let overhead_pct = if noop_ips > 0.0 {
         (baseline_ips / noop_ips - 1.0) * 100.0
     } else {
         0.0
     };
-    let entry = root.entry_object("hot_loop").entry_object(bench);
-    entry.set("untraced_instr_per_sec", Json::Num(baseline_ips));
-    entry.set("noop_trace_instr_per_sec", Json::Num(noop_ips));
-    entry.set("sampled_trace_instr_per_sec", Json::Num(sampled_ips));
-    entry.set("noop_trace_overhead_pct", Json::Num(overhead_pct));
-    match root.save(path) {
-        Ok(()) => eprintln!(
-            "[json] hot_loop/{bench} tracing: untraced {baseline_ips:.2e} i/s, \
-             no-op {noop_ips:.2e} i/s ({overhead_pct:+.2}%), sampled {sampled_ips:.2e} i/s -> {}",
-            path.display()
-        ),
-        Err(e) => eprintln!("[json] failed to write {}: {e}", path.display()),
-    }
+    let summary = format!(
+        "hot_loop/{bench} tracing: untraced {baseline_ips:.2e} i/s, \
+         no-op {noop_ips:.2e} i/s ({overhead_pct:+.2}%), sampled {sampled_ips:.2e} i/s"
+    );
+    merge(&bench_json_path(), &summary, |root| {
+        let entry = root.entry_object("hot_loop").entry_object(bench);
+        entry.set("untraced_instr_per_sec", Json::Num(baseline_ips));
+        entry.set("noop_trace_instr_per_sec", Json::Num(noop_ips));
+        entry.set("sampled_trace_instr_per_sec", Json::Num(sampled_ips));
+        entry.set("noop_trace_overhead_pct", Json::Num(overhead_pct));
+    });
 }
 
 /// One pipeline phase's share of a traced compile, for the `phases`
@@ -470,29 +162,17 @@ pub struct PhaseStat {
 /// Merge a per-phase wall-clock breakdown (from a traced compile) into
 /// `BENCH_vm.json` under `phases.<source>`. Call only under `--json`.
 pub fn record_phases(source: &str, phases: &[(String, PhaseStat)]) {
-    let path = bench_json_path();
-    let path = path.as_path();
-    let mut root = Json::load(path).unwrap_or_else(Json::object);
-    if !matches!(root, Json::Obj(_)) {
-        root = Json::object();
-    }
-    root.set("schema", Json::Str("slo-bench-v1".to_string()));
     let mut entry = Json::object();
     for (name, stat) in phases {
         let mut o = Json::object();
         o.set("wall_seconds", Json::Num(stat.wall_seconds));
-        o.set("spans", Json::Num(stat.spans as f64));
+        o.set("spans", Json::U64(stat.spans));
         entry.set(name, o);
     }
-    root.entry_object("phases").set(source, entry);
-    match root.save(path) {
-        Ok(()) => eprintln!(
-            "[json] phases/{source}: {} phase(s) -> {}",
-            phases.len(),
-            path.display()
-        ),
-        Err(e) => eprintln!("[json] failed to write {}: {e}", path.display()),
-    }
+    let summary = format!("phases/{source}: {} phase(s)", phases.len());
+    merge(&bench_json_path(), &summary, |root| {
+        root.entry_object("phases").set(source, entry);
+    });
 }
 
 /// The batch load-generator's measurements for the trajectory file.
@@ -517,21 +197,14 @@ pub struct BatchStats {
 /// Merge the batch load-generator's stats into `BENCH_vm.json` under
 /// `batch`. Call only when the driver saw `--json`.
 pub fn record_batch(stats: BatchStats) {
-    let path = bench_json_path();
-    let path = path.as_path();
-    let mut root = Json::load(path).unwrap_or_else(Json::object);
-    if !matches!(root, Json::Obj(_)) {
-        root = Json::object();
-    }
-    root.set("schema", Json::Str("slo-bench-v1".to_string()));
     let speedup = if stats.par_seconds > 0.0 {
         stats.seq_seconds / stats.par_seconds
     } else {
         0.0
     };
     let mut entry = Json::object();
-    entry.set("jobs", Json::Num(stats.jobs as f64));
-    entry.set("workers", Json::Num(stats.workers as f64));
+    entry.set("jobs", Json::U64(stats.jobs as u64));
+    entry.set("workers", Json::U64(stats.workers as u64));
     entry.set("seq_seconds", Json::Num(stats.seq_seconds));
     entry.set("par_seconds", Json::Num(stats.par_seconds));
     entry.set("speedup", Json::Num(speedup));
@@ -543,26 +216,23 @@ pub fn record_batch(stats: BatchStats) {
         entry.set("speedup_note", Json::Str("single-core".to_string()));
     }
     entry.set("rerun_hit_rate", Json::Num(stats.rerun_hit_rate));
-    entry.set("degraded", Json::Num(stats.degraded as f64));
-    entry.set("failed", Json::Num(stats.failed as f64));
-    root.set("batch", entry);
+    entry.set("degraded", Json::U64(stats.degraded));
+    entry.set("failed", Json::U64(stats.failed));
     let speedup_text = if single_core {
         "single-core, speedup n/a".to_string()
     } else {
         format!("{speedup:.2}x on {} workers", stats.workers)
     };
-    match root.save(path) {
-        Ok(()) => eprintln!(
-            "[json] batch: {} jobs, seq {:.2}s, par {:.2}s ({speedup_text}), \
-             rerun hit rate {:.0}% -> {}",
-            stats.jobs,
-            stats.seq_seconds,
-            stats.par_seconds,
-            100.0 * stats.rerun_hit_rate,
-            path.display()
-        ),
-        Err(e) => eprintln!("[json] failed to write {}: {e}", path.display()),
-    }
+    let summary = format!(
+        "batch: {} jobs, seq {:.2}s, par {:.2}s ({speedup_text}), rerun hit rate {:.0}%",
+        stats.jobs,
+        stats.seq_seconds,
+        stats.par_seconds,
+        100.0 * stats.rerun_hit_rate
+    );
+    merge(&bench_json_path(), &summary, |root| {
+        root.set("batch", entry)
+    });
 }
 
 /// The kill-and-restart store campaign's tallies for the trajectory
@@ -593,40 +263,31 @@ pub struct StoreStats {
 /// `BENCH_vm.json` under `store`. Call only when the driver saw
 /// `--json`.
 pub fn record_store(stats: StoreStats) {
-    let path = bench_json_path();
-    let path = path.as_path();
-    let mut root = Json::load(path).unwrap_or_else(Json::object);
-    if !matches!(root, Json::Obj(_)) {
-        root = Json::object();
-    }
-    root.set("schema", Json::Str("slo-bench-v1".to_string()));
     let mut entry = Json::object();
-    entry.set("jobs", Json::Num(stats.jobs as f64));
-    entry.set("killed_after", Json::Num(stats.killed_after as f64));
+    entry.set("jobs", Json::U64(stats.jobs as u64));
+    entry.set("killed_after", Json::U64(stats.killed_after as u64));
     entry.set("warm_hit_rate", Json::Num(stats.warm_hit_rate));
-    entry.set("corrupt_drops", Json::Num(stats.corrupt_drops as f64));
-    entry.set("bitrot_seeds", Json::Num(stats.bitrot_seeds as f64));
+    entry.set("corrupt_drops", Json::U64(stats.corrupt_drops));
+    entry.set("bitrot_seeds", Json::U64(stats.bitrot_seeds as u64));
     entry.set(
         "bitrot_corrupt_drops",
-        Json::Num(stats.bitrot_corrupt_drops as f64),
+        Json::U64(stats.bitrot_corrupt_drops),
     );
-    entry.set("mismatches", Json::Num(stats.mismatches as f64));
-    root.set("store", entry);
-    match root.save(path) {
-        Ok(()) => eprintln!(
-            "[json] store: {} jobs, killed after {}, warm hit rate {:.0}%, \
-             {} corrupt dropped, bit-rot sweep {} seeds ({} dropped), {} mismatches -> {}",
-            stats.jobs,
-            stats.killed_after,
-            100.0 * stats.warm_hit_rate,
-            stats.corrupt_drops,
-            stats.bitrot_seeds,
-            stats.bitrot_corrupt_drops,
-            stats.mismatches,
-            path.display()
-        ),
-        Err(e) => eprintln!("[json] failed to write {}: {e}", path.display()),
-    }
+    entry.set("mismatches", Json::U64(stats.mismatches));
+    let summary = format!(
+        "store: {} jobs, killed after {}, warm hit rate {:.0}%, \
+         {} corrupt dropped, bit-rot sweep {} seeds ({} dropped), {} mismatches",
+        stats.jobs,
+        stats.killed_after,
+        100.0 * stats.warm_hit_rate,
+        stats.corrupt_drops,
+        stats.bitrot_seeds,
+        stats.bitrot_corrupt_drops,
+        stats.mismatches
+    );
+    merge(&bench_json_path(), &summary, |root| {
+        root.set("store", entry)
+    });
 }
 
 /// The chaos campaign driver's tallies for the trajectory file.
@@ -654,34 +315,22 @@ pub struct ChaosStats {
 /// Merge the chaos driver's tallies into `BENCH_vm.json` under `chaos`.
 /// Call only when the driver saw `--json`.
 pub fn record_chaos(stats: ChaosStats) {
-    let path = bench_json_path();
-    let path = path.as_path();
-    let mut root = Json::load(path).unwrap_or_else(Json::object);
-    if !matches!(root, Json::Obj(_)) {
-        root = Json::object();
-    }
-    root.set("schema", Json::Str("slo-bench-v1".to_string()));
     let mut entry = Json::object();
-    entry.set("seeds", Json::Num(stats.seeds as f64));
-    entry.set("jobs_per_seed", Json::Num(stats.jobs_per_seed as f64));
-    entry.set("violations", Json::Num(stats.violations as f64));
-    entry.set("faults_injected", Json::Num(stats.faults_injected as f64));
-    entry.set("retries", Json::Num(stats.retries as f64));
-    entry.set("quarantined", Json::Num(stats.quarantined as f64));
-    entry.set("optimized", Json::Num(stats.optimized as f64));
-    entry.set("advisory", Json::Num(stats.advisory as f64));
-    root.set("chaos", entry);
-    match root.save(path) {
-        Ok(()) => eprintln!(
-            "[json] chaos: {} seed(s) x {} jobs, {} fault(s), {} violation(s) -> {}",
-            stats.seeds,
-            stats.jobs_per_seed,
-            stats.faults_injected,
-            stats.violations,
-            path.display()
-        ),
-        Err(e) => eprintln!("[json] failed to write {}: {e}", path.display()),
-    }
+    entry.set("seeds", Json::U64(stats.seeds as u64));
+    entry.set("jobs_per_seed", Json::U64(stats.jobs_per_seed as u64));
+    entry.set("violations", Json::U64(stats.violations as u64));
+    entry.set("faults_injected", Json::U64(stats.faults_injected));
+    entry.set("retries", Json::U64(stats.retries));
+    entry.set("quarantined", Json::U64(stats.quarantined));
+    entry.set("optimized", Json::U64(stats.optimized));
+    entry.set("advisory", Json::U64(stats.advisory));
+    let summary = format!(
+        "chaos: {} seed(s) x {} jobs, {} fault(s), {} violation(s)",
+        stats.seeds, stats.jobs_per_seed, stats.faults_injected, stats.violations
+    );
+    merge(&bench_json_path(), &summary, |root| {
+        root.set("chaos", entry)
+    });
 }
 
 /// The socket-chaos campaign's tallies for the trajectory file.
@@ -710,35 +359,22 @@ pub struct NetChaosStats {
 /// `chaos.net`. Call AFTER [`record_chaos`] (which replaces the whole
 /// `chaos` object) and only when the driver saw `--json`.
 pub fn record_chaos_net(stats: NetChaosStats) {
-    let path = bench_json_path();
-    let path = path.as_path();
-    let mut root = Json::load(path).unwrap_or_else(Json::object);
-    if !matches!(root, Json::Obj(_)) {
-        root = Json::object();
-    }
-    root.set("schema", Json::Str("slo-bench-v1".to_string()));
     let mut entry = Json::object();
-    entry.set("seeds", Json::Num(stats.seeds as f64));
-    entry.set("jobs_per_seed", Json::Num(stats.jobs_per_seed as f64));
-    entry.set("violations", Json::Num(stats.violations as f64));
-    entry.set("rejected", Json::Num(stats.rejected as f64));
-    entry.set("shed", Json::Num(stats.shed as f64));
-    entry.set("disconnects", Json::Num(stats.disconnects as f64));
-    entry.set("slow_closes", Json::Num(stats.slow_closes as f64));
-    entry.set("client_retries", Json::Num(stats.client_retries as f64));
-    root.entry_object("chaos").set("net", entry);
-    match root.save(path) {
-        Ok(()) => eprintln!(
-            "[json] chaos.net: {} seed(s) x {} lines, {} shed, {} disconnect(s), {} violation(s) -> {}",
-            stats.seeds,
-            stats.jobs_per_seed,
-            stats.shed,
-            stats.disconnects,
-            stats.violations,
-            path.display()
-        ),
-        Err(e) => eprintln!("[json] failed to write {}: {e}", path.display()),
-    }
+    entry.set("seeds", Json::U64(stats.seeds as u64));
+    entry.set("jobs_per_seed", Json::U64(stats.jobs_per_seed as u64));
+    entry.set("violations", Json::U64(stats.violations as u64));
+    entry.set("rejected", Json::U64(stats.rejected));
+    entry.set("shed", Json::U64(stats.shed));
+    entry.set("disconnects", Json::U64(stats.disconnects));
+    entry.set("slow_closes", Json::U64(stats.slow_closes));
+    entry.set("client_retries", Json::U64(stats.client_retries));
+    let summary = format!(
+        "chaos.net: {} seed(s) x {} lines, {} shed, {} disconnect(s), {} violation(s)",
+        stats.seeds, stats.jobs_per_seed, stats.shed, stats.disconnects, stats.violations
+    );
+    merge(&bench_json_path(), &summary, |root| {
+        root.entry_object("chaos").set("net", entry);
+    });
 }
 
 /// The TCP load driver's tallies for the trajectory file.
@@ -765,35 +401,24 @@ pub struct LoadStats {
 /// Merge the load driver's tallies into `BENCH_vm.json` under `load`.
 /// Call only when the driver saw `--json`.
 pub fn record_load(stats: LoadStats) {
-    let path = bench_json_path();
-    let path = path.as_path();
-    let mut root = Json::load(path).unwrap_or_else(Json::object);
-    if !matches!(root, Json::Obj(_)) {
-        root = Json::object();
-    }
-    root.set("schema", Json::Str("slo-bench-v1".to_string()));
     let mut entry = Json::object();
-    entry.set("clients", Json::Num(stats.clients as f64));
-    entry.set("completed", Json::Num(stats.completed as f64));
-    entry.set("sheds", Json::Num(stats.sheds as f64));
+    entry.set("clients", Json::U64(stats.clients as u64));
+    entry.set("completed", Json::U64(stats.completed as u64));
+    entry.set("sheds", Json::U64(stats.sheds as u64));
     entry.set("shed_rate", Json::Num(stats.shed_rate));
     entry.set("p50_ms", Json::Num(stats.p50_ms));
     entry.set("p99_ms", Json::Num(stats.p99_ms));
     entry.set("throughput_rps", Json::Num(stats.throughput_rps));
     entry.set("wall_seconds", Json::Num(stats.wall_seconds));
-    root.set("load", entry);
-    match root.save(path) {
-        Ok(()) => eprintln!(
-            "[json] load: {} client(s), {} completed, shed rate {:.1}%, p50 {:.2} ms, p99 {:.2} ms -> {}",
-            stats.clients,
-            stats.completed,
-            100.0 * stats.shed_rate,
-            stats.p50_ms,
-            stats.p99_ms,
-            path.display()
-        ),
-        Err(e) => eprintln!("[json] failed to write {}: {e}", path.display()),
-    }
+    let summary = format!(
+        "load: {} client(s), {} completed, shed rate {:.1}%, p50 {:.2} ms, p99 {:.2} ms",
+        stats.clients,
+        stats.completed,
+        100.0 * stats.shed_rate,
+        stats.p50_ms,
+        stats.p99_ms
+    );
+    merge(&bench_json_path(), &summary, |root| root.set("load", entry));
 }
 
 /// Whether `--json` is among the process arguments (and strip it from a
@@ -809,37 +434,37 @@ mod tests {
     use super::*;
 
     #[test]
-    fn round_trip() {
-        let src = r#"{"a": [1, 2.5, -3e2], "b": {"nested": true, "s": "q\"\\\n"}, "c": null}"#;
-        let v = Json::parse(src).expect("parse");
-        let printed = v.pretty();
-        assert_eq!(Json::parse(&printed).expect("reparse"), v);
-    }
+    fn merge_starts_fresh_only_when_the_file_is_missing() {
+        let dir = std::env::temp_dir().join(format!("slo-report-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("BENCH_vm.json");
+        let _ = std::fs::remove_file(&path);
+        let set = |key: &'static str| move |root: &mut Json| root.set(key, Json::U64(1));
 
-    #[test]
-    fn rejects_garbage() {
-        assert!(Json::parse("{").is_err());
-        assert!(Json::parse("[1,]").is_err());
-        assert!(Json::parse("{} x").is_err());
-        assert!(Json::parse("\"unterminated").is_err());
-    }
-
-    #[test]
-    fn integers_print_without_fraction() {
-        let mut o = Json::object();
-        o.set("n", Json::Num(12345.0));
-        assert!(o.pretty().contains("\"n\": 12345\n"));
-    }
-
-    #[test]
-    fn entry_object_replaces_non_objects() {
-        let mut o = Json::object();
-        o.set("tables", Json::Num(1.0));
-        o.entry_object("tables").set("t1", Json::Bool(true));
+        merge(&path, "first", set("a"));
+        merge(&path, "second", set("b"));
+        let root = Json::parse(&std::fs::read_to_string(&path).expect("written")).expect("json");
         assert_eq!(
-            o.get("tables").and_then(|t| t.get("t1")),
-            Some(&Json::Bool(true))
+            root.get("a"),
+            Some(&Json::U64(1)),
+            "earlier sections survive"
         );
+        assert_eq!(root.get("b"), Some(&Json::U64(1)));
+        assert_eq!(
+            root.get("schema").and_then(Json::as_str),
+            Some("slo-bench-v1")
+        );
+
+        for damaged in ["{\"tables\": {\"table2\": ", "[1, 2]"] {
+            std::fs::write(&path, damaged).expect("write");
+            merge(&path, "third", set("c"));
+            let after = std::fs::read_to_string(&path).expect("read");
+            assert_eq!(
+                after, damaged,
+                "an invalid trajectory file is never overwritten"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

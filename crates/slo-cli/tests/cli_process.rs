@@ -371,17 +371,22 @@ fn traced_compile_passes_trace_check_and_output_is_unchanged() {
 fn trace_check_rejects_garbage() {
     let dir = std::env::temp_dir();
     let bad = dir.join(format!("slo-e2e-badtrace-{}.json", std::process::id()));
-    std::fs::write(&bad, "{\"traceEvents\": 42}").expect("write temp");
-    let out = slo()
-        .args(["trace-check"])
-        .arg(&bad)
-        .output()
-        .expect("spawn slo");
-    assert_eq!(
-        out.status.code(),
-        Some(3),
-        "non-conformant trace is a parse error"
-    );
+    // A schema violation, and nesting deep enough to overflow a
+    // recursive parser's stack.
+    for garbage in ["{\"traceEvents\": 42}".to_string(), "[".repeat(1_000_000)] {
+        std::fs::write(&bad, &garbage).expect("write temp");
+        let out = slo()
+            .args(["trace-check"])
+            .arg(&bad)
+            .output()
+            .expect("spawn slo");
+        assert_eq!(
+            out.status.code(),
+            Some(3),
+            "non-conformant trace is a parse error: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
     let _ = std::fs::remove_file(&bad);
 }
 

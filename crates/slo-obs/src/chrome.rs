@@ -6,6 +6,7 @@
 //! [`crate::conform::check_chrome_trace`]: `name`, `cat`, `ph`, `ts`,
 //! `dur`, `pid`, `tid`, `args`.
 
+use crate::json::{write_num, write_str};
 use crate::{ArgValue, TraceEvent};
 use std::fmt::Write;
 
@@ -28,9 +29,9 @@ pub fn to_chrome_json(events: &[TraceEvent], dropped: u64) -> String {
 
 fn write_event(out: &mut String, ev: &TraceEvent) {
     out.push_str("{\"name\":");
-    write_json_string(out, &ev.name);
+    write_str(out, &ev.name);
     out.push_str(",\"cat\":");
-    write_json_string(out, ev.cat);
+    write_str(out, ev.cat);
     let _ = write!(
         out,
         ",\"ph\":\"{}\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{},\"args\":{{",
@@ -43,7 +44,7 @@ fn write_event(out: &mut String, ev: &TraceEvent) {
         if i > 0 {
             out.push(',');
         }
-        write_json_string(out, k);
+        write_str(out, k);
         out.push(':');
         write_arg(out, v);
     }
@@ -55,36 +56,10 @@ fn write_arg(out: &mut String, v: &ArgValue) {
         ArgValue::Int(i) => {
             let _ = write!(out, "{i}");
         }
-        ArgValue::Float(f) => {
-            if f.is_finite() {
-                let _ = write!(out, "{f}");
-            } else {
-                // JSON has no NaN/Inf; null keeps the document valid.
-                out.push_str("null");
-            }
-        }
-        ArgValue::Str(s) => write_json_string(out, s),
+        ArgValue::Float(f) => write_num(out, *f),
+        ArgValue::Str(s) => write_str(out, s),
         ArgValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslash, control chars).
-pub(crate) fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

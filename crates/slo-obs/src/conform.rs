@@ -10,254 +10,9 @@
 //! * [`check_prometheus`] — line-by-line validation of the Prometheus
 //!   text exposition format emitted by `slo serve`'s `metrics prom`.
 //!
-//! The module carries its own minimal JSON parser: `slo-obs` sits at
-//! the bottom of the dependency graph (everything depends on it), so it
-//! cannot borrow the `bench` crate's hand-rolled JSON support.
+//! The trace is parsed by the shared [`crate::json`] module.
 
-use std::collections::HashMap;
-
-/// A parsed JSON value (subset sufficient for trace documents).
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any JSON number.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object (insertion order is not preserved; conformance checks
-    /// are key-lookup only).
-    Obj(HashMap<String, JsonValue>),
-}
-
-impl JsonValue {
-    /// Object field lookup.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-
-    /// The value as a number, if it is one.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The value as a string, if it is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an array, if it is one.
-    pub fn as_arr(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-}
-
-/// Parse a JSON document. Errors carry a byte offset and message.
-pub fn parse_json(text: &str) -> Result<JsonValue, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            Some(b) => Err(format!("unexpected byte '{}' at {}", b as char, self.pos)),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, String> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        s.parse::<f64>()
-            .map(JsonValue::Num)
-            .map_err(|_| format!("invalid number '{s}' at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            // Surrogate pairs are not produced by our
-                            // serializer; map them to the replacement
-                            // char rather than rejecting the document.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Copy one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
-        let mut map = HashMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            map.insert(key, val);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(map));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
-        let mut arr = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Arr(arr));
-        }
-        loop {
-            self.skip_ws();
-            arr.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(arr));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-}
+use crate::json::Json;
 
 /// A summary of a schema-valid Chrome trace.
 #[derive(Debug, Clone, Default)]
@@ -293,10 +48,10 @@ impl TraceSummary {
 /// Returns a [`TraceSummary`] for follow-on assertions (e.g. "all
 /// seven pipeline phases present").
 pub fn check_chrome_trace(text: &str) -> Result<TraceSummary, String> {
-    let doc = parse_json(text).map_err(|e| format!("trace is not valid JSON: {e}"))?;
+    let doc = Json::parse(text).map_err(|e| format!("trace is not valid JSON: {e}"))?;
     let events = doc
         .get("traceEvents")
-        .and_then(JsonValue::as_arr)
+        .and_then(Json::as_arr)
         .ok_or("missing traceEvents array")?;
     let mut summary = TraceSummary {
         events: events.len(),
@@ -305,7 +60,7 @@ pub fn check_chrome_trace(text: &str) -> Result<TraceSummary, String> {
     if let Some(d) = doc
         .get("otherData")
         .and_then(|o| o.get("dropped"))
-        .and_then(JsonValue::as_num)
+        .and_then(Json::as_f64)
     {
         summary.dropped = d as u64;
     }
@@ -317,41 +72,45 @@ pub fn check_chrome_trace(text: &str) -> Result<TraceSummary, String> {
     for (i, ev) in events.iter().enumerate() {
         let name = ev
             .get("name")
-            .and_then(JsonValue::as_str)
+            .and_then(Json::as_str)
             .ok_or_else(|| format!("event {i}: missing string 'name'"))?;
         ev.get("cat")
-            .and_then(JsonValue::as_str)
+            .and_then(Json::as_str)
             .ok_or_else(|| format!("event {i} ({name}): missing string 'cat'"))?;
         let ph = ev
             .get("ph")
-            .and_then(JsonValue::as_str)
+            .and_then(Json::as_str)
             .ok_or_else(|| format!("event {i} ({name}): missing 'ph'"))?;
         if !matches!(ph, "X" | "i" | "C" | "B" | "E" | "M") {
             return Err(format!("event {i} ({name}): unknown ph '{ph}'"));
         }
         let ts = ev
             .get("ts")
-            .and_then(JsonValue::as_num)
+            .and_then(Json::as_f64)
             .ok_or_else(|| format!("event {i} ({name}): missing numeric 'ts'"))?;
         let dur = ev
             .get("dur")
-            .and_then(JsonValue::as_num)
+            .and_then(Json::as_f64)
             .ok_or_else(|| format!("event {i} ({name}): missing numeric 'dur'"))?;
         if ts < 0.0 || dur < 0.0 {
             return Err(format!("event {i} ({name}): negative ts/dur"));
         }
         ev.get("pid")
-            .and_then(JsonValue::as_num)
+            .and_then(Json::as_f64)
             .ok_or_else(|| format!("event {i} ({name}): missing numeric 'pid'"))?;
         let tid = ev
             .get("tid")
-            .and_then(JsonValue::as_num)
+            .and_then(Json::as_f64)
             .ok_or_else(|| format!("event {i} ({name}): missing numeric 'tid'"))?;
 
         names.push(name.to_string());
         if ph == "X" {
             summary.spans += 1;
-            spans.push((tid as u64, ts as u64, ts as u64 + dur as u64));
+            spans.push((
+                tid as u64,
+                ts as u64,
+                (ts as u64).saturating_add(dur as u64),
+            ));
         }
     }
 
@@ -570,24 +329,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_parser_handles_nested_documents() {
-        let v =
-            parse_json(r#"{"a":[1,2.5,-3e2],"b":{"c":"x\ny","d":true,"e":null},"f":""}"#).unwrap();
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
-        assert_eq!(v.get("b").unwrap().get("c").unwrap().as_str(), Some("x\ny"));
-        assert_eq!(v.get("b").unwrap().get("d"), Some(&JsonValue::Bool(true)));
-        assert_eq!(v.get("f").unwrap().as_str(), Some(""));
-    }
-
-    #[test]
-    fn json_parser_rejects_garbage() {
-        assert!(parse_json("{").is_err());
-        assert!(parse_json("{\"a\":}").is_err());
-        assert!(parse_json("[1,2,]").is_err());
-        assert!(parse_json("{} trailing").is_err());
-    }
-
-    #[test]
     fn trace_check_rejects_missing_fields() {
         let bad =
             r#"{"traceEvents":[{"name":"x","cat":"c","ph":"X","ts":0,"pid":1,"tid":1,"args":{}}]}"#;
@@ -617,6 +358,27 @@ mod tests {
         assert_eq!(s.events, 4);
         assert_eq!(s.spans, 3);
         assert!(s.has("inner") && s.has("count"));
+    }
+
+    #[test]
+    fn trace_check_is_linear_in_a_long_string_argument() {
+        let msg = "é".repeat(1 << 19); // 1 MiB of two-byte scalars
+        let trace = format!(
+            r#"{{"traceEvents":[{{"name":"x","cat":"c","ph":"i","ts":0,"dur":0,"pid":1,"tid":1,"args":{{"msg":"{msg}"}}}}]}}"#
+        );
+        let start = std::time::Instant::now();
+        let s = check_chrome_trace(&trace).unwrap();
+        let took = start.elapsed();
+        assert_eq!(s.events, 1);
+        assert!(took.as_secs_f64() < 2.0, "1 MiB string took {took:?}");
+    }
+
+    #[test]
+    fn trace_check_saturates_huge_timestamps() {
+        let huge = r#"{"traceEvents":[
+            {"name":"a","cat":"c","ph":"X","ts":1e300,"dur":1e300,"pid":1,"tid":1,"args":{}}
+        ]}"#;
+        assert_eq!(check_chrome_trace(huge).unwrap().spans, 1);
     }
 
     #[test]

@@ -27,6 +27,10 @@
 //! line-by-line validator for the Prometheus exposition format the
 //! service exports.
 //!
+//! The [`json`] module is the workspace's one JSON value, parser and
+//! string/number writer, shared by the trace exporter and checker, the
+//! service's wire protocol and journal, and the bench trajectory file.
+//!
 //! # Examples
 //!
 //! ```
@@ -53,6 +57,7 @@
 
 pub mod chrome;
 pub mod conform;
+pub mod json;
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

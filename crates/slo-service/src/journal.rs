@@ -26,6 +26,7 @@
 
 use crate::job::{Job, JobStatus};
 use crate::proto;
+use slo_obs::json::{write_str, Json};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Write};
@@ -134,12 +135,12 @@ impl Journal {
         status: &JobStatus,
         summary: &str,
     ) -> std::io::Result<()> {
-        let body = format!(
-            "{{\"key\":\"{key:016x}\",\"id\":\"{}\",\"status\":\"{}\",\"summary\":\"{}\"",
-            escape(id),
-            status.kind(),
-            escape(summary),
-        );
+        let mut body = format!("{{\"key\":\"{key:016x}\",\"id\":");
+        write_str(&mut body, id);
+        body.push_str(",\"status\":");
+        write_str(&mut body, status.kind());
+        body.push_str(",\"summary\":");
+        write_str(&mut body, summary);
         // The checksum covers everything before its own field, so a
         // replayer can verify without re-canonicalizing.
         let line = format!(
@@ -161,11 +162,6 @@ impl Journal {
     }
 }
 
-// JSON escaping and field extraction are shared with the wire protocol
-// (`proto`): the journal stores reply lines, so the two must agree on
-// the encoding anyway.
-use proto::{escape, field_str};
-
 enum Parsed {
     /// A complete, (when checksummed) verified record.
     Entry(u64, JournalEntry),
@@ -182,24 +178,29 @@ fn parse_record(line: &str) -> Parsed {
     }
     // A `"c"` field makes the record self-verifying; its absence marks
     // a pre-checksum record, which replays untested (versioning by
-    // presence). `escape` turns every interior quote into `\"`, so an
-    // unescaped `,"c":"` can only be the real field.
+    // presence). The writer escapes every interior quote as `\"`, so an
+    // unescaped `,"c":"` can only be the real, final field, and the
+    // checksum is read and verified over the raw bytes before parsing.
     if let Some(at) = line.rfind(",\"c\":\"") {
-        let Some(sum) = field_str(line, "c").and_then(|s| u64::from_str_radix(&s, 16).ok()) else {
-            return Parsed::Corrupt;
-        };
-        if slo_chaos::fnv1a(&line.as_bytes()[..at]) != sum {
+        let sum = line[at + 6..]
+            .strip_suffix("\"}")
+            .and_then(|hex| u64::from_str_radix(hex, 16).ok());
+        if sum != Some(slo_chaos::fnv1a(&line.as_bytes()[..at])) {
             return Parsed::Corrupt;
         }
     }
+    let Ok(doc) = Json::parse(line) else {
+        return Parsed::Torn;
+    };
+    let text = |key| doc.get(key).and_then(Json::as_str).map(str::to_string);
     let fields = (|| {
-        let key = u64::from_str_radix(&field_str(line, "key")?, 16).ok()?;
+        let key = u64::from_str_radix(&text("key")?, 16).ok()?;
         Some((
             key,
             JournalEntry {
-                id: field_str(line, "id")?,
-                status: field_str(line, "status")?,
-                summary: field_str(line, "summary")?,
+                id: text("id")?,
+                status: text("status")?,
+                summary: text("summary")?,
             },
         ))
     })();

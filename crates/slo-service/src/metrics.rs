@@ -6,6 +6,7 @@
 //! by the CLI's `--json` output and the bench load-generator's
 //! `BENCH_vm.json` table.
 
+use slo_obs::json::write_num;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -213,16 +214,8 @@ impl MetricsSnapshot {
         let mut s = String::from("{");
         let mut first = true;
         let mut num = |key: &str, v: f64, s: &mut String| {
-            let _ = write!(
-                s,
-                "{}\"{key}\": {}",
-                if first { "" } else { ", " },
-                if v.fract() == 0.0 && v.abs() < 9e15 {
-                    format!("{}", v as i64)
-                } else {
-                    format!("{v}")
-                }
-            );
+            let _ = write!(s, "{}\"{key}\": ", if first { "" } else { ", " });
+            write_num(s, v);
             first = false;
         };
         num("jobs", self.jobs as f64, &mut s);

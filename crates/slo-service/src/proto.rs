@@ -34,6 +34,8 @@ use crate::journal::Journal;
 use crate::manifest::{chaos_line, parse_job_line};
 use crate::service::Service;
 use slo_chaos::fnv1a;
+use slo_obs::json::{write_str, Json};
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -264,41 +266,43 @@ impl Response {
     /// fixed: the seven stable fields first, detail after.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(128);
-        s.push_str(&format!(
-            "{{\"v\":{},\"id\":\"{}\",\"status\":\"{}\",",
-            self.v,
-            escape(&self.id),
-            escape(&self.status)
-        ));
+        let _ = write!(s, "{{\"v\":{},\"id\":", self.v);
+        write_str(&mut s, &self.id);
+        s.push_str(",\"status\":");
+        write_str(&mut s, &self.status);
+        s.push_str(",\"degradation\":");
         match &self.degradation {
-            Some(d) => s.push_str(&format!("\"degradation\":\"{}\",", escape(d))),
-            None => s.push_str("\"degradation\":null,"),
+            Some(d) => write_str(&mut s, d),
+            None => s.push_str("null"),
         }
-        s.push_str(&format!(
-            "\"attempts\":{},\"cached\":{},",
+        let _ = write!(
+            s,
+            ",\"attempts\":{},\"cached\":{},\"retry_after_ms\":",
             self.attempts, self.cached
-        ));
+        );
         match self.retry_after_ms {
-            Some(ms) => s.push_str(&format!("\"retry_after_ms\":{ms}")),
-            None => s.push_str("\"retry_after_ms\":null"),
+            Some(ms) => {
+                let _ = write!(s, "{ms}");
+            }
+            None => s.push_str("null"),
         }
-        if let Some(code) = &self.code {
-            s.push_str(&format!(",\"code\":\"{}\"", escape(code)));
+        for (key, text) in [("code", &self.code), ("message", &self.message)] {
+            if let Some(text) = text {
+                let _ = write!(s, ",\"{key}\":");
+                write_str(&mut s, text);
+            }
         }
-        if let Some(msg) = &self.message {
-            s.push_str(&format!(",\"message\":\"{}\"", escape(msg)));
-        }
-        if let Some(t) = self.types {
-            s.push_str(&format!(",\"types\":{t}"));
-        }
-        if let Some(c) = self.baseline_cycles {
-            s.push_str(&format!(",\"baseline_cycles\":{c}"));
-        }
-        if let Some(c) = self.optimized_cycles {
-            s.push_str(&format!(",\"optimized_cycles\":{c}"));
+        for (key, n) in [
+            ("types", self.types),
+            ("baseline_cycles", self.baseline_cycles),
+            ("optimized_cycles", self.optimized_cycles),
+        ] {
+            if let Some(n) = n {
+                let _ = write!(s, ",\"{key}\":{n}");
+            }
         }
         if let Some(r) = self.report_available {
-            s.push_str(&format!(",\"report_available\":{r}"));
+            let _ = write!(s, ",\"report_available\":{r}");
         }
         if self.replayed {
             s.push_str(",\"replayed\":true");
@@ -315,28 +319,28 @@ impl Response {
     ///
     /// A short message if the line is not a v1 reply object.
     pub fn parse(line: &str) -> Result<Response, String> {
-        let line = line.trim();
-        if !line.starts_with('{') || !line.ends_with('}') {
+        let doc = Json::parse(line.trim())?;
+        if !matches!(doc, Json::Obj(_)) {
             return Err("not a JSON object line".to_string());
         }
-        let v = field_u64(line, "v").ok_or("missing `v`")?;
-        let id = field_str(line, "id").ok_or("missing `id`")?;
-        let status = field_str(line, "status").ok_or("missing `status`")?;
+        let text = |key| doc.get(key).and_then(Json::as_str).map(str::to_string);
+        let int = |key| doc.get(key).and_then(Json::as_u64);
+        let flag = |key| doc.get(key).and_then(Json::as_bool);
         Ok(Response {
-            v,
-            id,
-            status,
-            degradation: field_str(line, "degradation"),
-            attempts: field_u64(line, "attempts").unwrap_or(0) as u32,
-            cached: field_bool(line, "cached").unwrap_or(false),
-            retry_after_ms: field_u64(line, "retry_after_ms"),
-            code: field_str(line, "code"),
-            message: field_str(line, "message"),
-            types: field_u64(line, "types"),
-            baseline_cycles: field_u64(line, "baseline_cycles"),
-            optimized_cycles: field_u64(line, "optimized_cycles"),
-            report_available: field_bool(line, "report_available"),
-            replayed: field_bool(line, "replayed").unwrap_or(false),
+            v: int("v").ok_or("missing `v`")?,
+            id: text("id").ok_or("missing `id`")?,
+            status: text("status").ok_or("missing `status`")?,
+            degradation: text("degradation"),
+            attempts: int("attempts").unwrap_or(0) as u32,
+            cached: flag("cached").unwrap_or(false),
+            retry_after_ms: int("retry_after_ms"),
+            code: text("code"),
+            message: text("message"),
+            types: int("types"),
+            baseline_cycles: int("baseline_cycles"),
+            optimized_cycles: int("optimized_cycles"),
+            report_available: flag("report_available"),
+            replayed: flag("replayed").unwrap_or(false),
         })
     }
 
@@ -383,130 +387,6 @@ pub fn legacy_line(o: &crate::job::JobOutcome) -> String {
             let first = msg.lines().next().unwrap_or_default();
             format!("{:<24} failed     {first}", o.id)
         }
-    }
-}
-
-// --- minimal JSON escaping/field extraction ----------------------------
-// The workspace is deliberately serde-free; these helpers are shared
-// with the journal (which stores reply lines) and are just enough to
-// round-trip the flat objects this module emits.
-
-/// JSON-escape a string's contents (no surrounding quotes).
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Undo [`escape`].
-pub(crate) fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if let Some(c) = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                    out.push(c);
-                }
-            }
-            Some(c) => out.push(c),
-            None => {}
-        }
-    }
-    out
-}
-
-/// Find `tag` (a `"name":`-shaped prefix) at *top level* of a flat
-/// object line — never inside a quoted string value, where escaped
-/// content can reproduce the byte sequence of any field tag (e.g. a
-/// message containing `"types":999`). Returns the byte index just past
-/// the tag. Sound because [`escape`] backslashes every interior quote:
-/// a tag's unescaped leading quote can only occur where a string opens,
-/// and a string value's body can never start with `name":` unescaped.
-fn top_level_find(line: &str, tag: &str) -> Option<usize> {
-    let bytes = line.as_bytes();
-    let mut in_string = false;
-    let mut escaped = false;
-    for i in 0..bytes.len() {
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if bytes[i] == b'\\' {
-                escaped = true;
-            } else if bytes[i] == b'"' {
-                in_string = false;
-            }
-        } else if bytes[i] == b'"' {
-            if line[i..].starts_with(tag) {
-                return Some(i + tag.len());
-            }
-            in_string = true;
-        }
-    }
-    None
-}
-
-/// Extract the string value of `"name":"..."` from a flat object line,
-/// honoring backslash escapes. `None` on absence, `null`, or
-/// malformation.
-pub(crate) fn field_str(line: &str, name: &str) -> Option<String> {
-    let tag = format!("\"{name}\":\"");
-    let start = top_level_find(line, &tag)?;
-    let rest = &line[start..];
-    let mut escaped = false;
-    for (i, c) in rest.char_indices() {
-        if escaped {
-            escaped = false;
-        } else if c == '\\' {
-            escaped = true;
-        } else if c == '"' {
-            return Some(unescape(&rest[..i]));
-        }
-    }
-    None
-}
-
-/// Extract the unsigned-integer value of `"name":N`. `None` on absence
-/// or `null`.
-pub(crate) fn field_u64(line: &str, name: &str) -> Option<u64> {
-    let tag = format!("\"{name}\":");
-    let start = top_level_find(line, &tag)?;
-    let digits: String = line[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
-
-/// Extract the boolean value of `"name":true|false`.
-pub(crate) fn field_bool(line: &str, name: &str) -> Option<bool> {
-    let tag = format!("\"{name}\":");
-    let start = top_level_find(line, &tag)?;
-    let rest = &line[start..];
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
     }
 }
 

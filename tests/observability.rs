@@ -13,7 +13,8 @@
 //!    pipeline produces: compile output is bit-identical either way.
 
 use slo::analysis::WeightScheme;
-use slo::obs::conform::{check_chrome_trace, check_prometheus, parse_json, JsonValue};
+use slo::obs::conform::{check_chrome_trace, check_prometheus};
+use slo::obs::json::Json;
 use slo::obs::{EventKind, Recorder};
 use slo::pipeline::PipelineConfig;
 use slo_ir::printer::print_program;
@@ -73,24 +74,24 @@ fn traced_compile_emits_all_seven_phase_spans() {
 fn chrome_trace_matches_golden_schema() {
     let rec = Recorder::enabled();
     traced_compile(&rec);
-    let doc = parse_json(&rec.to_chrome_json()).expect("trace is valid JSON");
+    let doc = Json::parse(&rec.to_chrome_json()).expect("trace is valid JSON");
     // Top-level golden schema.
     for key in ["traceEvents", "displayTimeUnit", "otherData"] {
         assert!(doc.get(key).is_some(), "missing top-level `{key}`");
     }
     assert_eq!(
-        doc.get("displayTimeUnit").and_then(JsonValue::as_str),
+        doc.get("displayTimeUnit").and_then(Json::as_str),
         Some("ms")
     );
     let events = doc
         .get("traceEvents")
-        .and_then(JsonValue::as_arr)
+        .and_then(Json::as_arr)
         .expect("traceEvents array");
     assert!(!events.is_empty());
     // Per-event golden schema: every complete event carries the full
     // key set a Chrome/Perfetto importer expects.
     for ev in events {
-        let ph = ev.get("ph").and_then(JsonValue::as_str).expect("ph");
+        let ph = ev.get("ph").and_then(Json::as_str).expect("ph");
         let want: &[&str] = if ph == "X" {
             &["name", "cat", "ph", "ts", "dur", "pid", "tid", "args"]
         } else {
@@ -99,7 +100,7 @@ fn chrome_trace_matches_golden_schema() {
         for key in want {
             assert!(ev.get(key).is_some(), "{ph} event missing `{key}`");
         }
-        assert_eq!(ev.get("pid").and_then(JsonValue::as_num), Some(1.0));
+        assert_eq!(ev.get("pid").and_then(Json::as_f64), Some(1.0));
     }
 }
 
