@@ -23,12 +23,11 @@
 //! the cross-process warm-start hit rate (≥90% required), crash
 //! tolerance and bit-rot recompute-not-serve guarantee are asserted and
 //! recorded under `store` in `BENCH_vm.json`. `--rot-seeds N` widens
-//! the bit-rot sweep (default 4; the nightly job runs 64) and
-//! `--compact` compacts each rotted store before the cold reread.
+//! the bit-rot sweep (default 4; the nightly job runs 64).
 //!
 //! ```text
 //! batch [--jobs N] [--workers N] [--json]
-//!       [--kill-restart [--rot-seeds N] [--compact]]
+//!       [--kill-restart [--rot-seeds N]]
 //! ```
 
 use bench::report::{json_flag, record_batch, record_store, BatchStats, StoreStats};
@@ -166,11 +165,9 @@ fn outcome_lines(stdout: &str) -> Vec<String> {
 /// serve --store` process and SIGKILL it mid-batch, complete the
 /// manifest in a fresh `slo batch --store` process, then rerun it
 /// cold to measure the warm-start hit rate; finish with an in-process
-/// bit-rot sweep (`rot_seeds` seeds; with `compact`, each rotted
-/// store is compacted before the cold reread, so the sweep also
-/// proves compaction never copies damage forward). Returns the number
-/// of failed checks.
-fn kill_restart_campaign(num_jobs: usize, rot_seeds: usize, compact: bool, json: bool) -> u32 {
+/// bit-rot sweep over `rot_seeds` seeds. Returns the number of failed
+/// checks.
+fn kill_restart_campaign(num_jobs: usize, rot_seeds: usize, json: bool) -> u32 {
     use std::io::{BufRead, BufReader, Write};
 
     let mut failures = 0u32;
@@ -344,15 +341,6 @@ fn kill_restart_campaign(num_jobs: usize, rot_seeds: usize, compact: bool, json:
         );
         let rotted: Vec<String> = writer.run_batch(&sweep_jobs).iter().map(digest).collect();
         drop(writer);
-        if compact {
-            // Compaction re-verifies every survivor; rotted records
-            // die here (counted) instead of at the reader.
-            let mut store =
-                AnalysisStore::open(&dir, slo::obs::Recorder::disabled(), FaultPlan::disabled())
-                    .expect("reopen store for compaction");
-            store.compact().expect("compact rotted store");
-            bitrot_corrupt_drops += store.counters().corrupt_drops;
-        }
         let reader = Service::new(cfg).with_store(
             AnalysisStore::open(&dir, slo::obs::Recorder::disabled(), FaultPlan::disabled())
                 .expect("reopen store"),
@@ -369,9 +357,8 @@ fn kill_restart_campaign(num_jobs: usize, rot_seeds: usize, compact: bool, json:
         }
     }
     println!(
-        "bit-rot sweep: {rot_seeds} seed(s){}, {bitrot_corrupt_drops} corrupt record(s) \
-         dropped and recomputed",
-        if compact { " with compaction" } else { "" }
+        "bit-rot sweep: {rot_seeds} seed(s), {bitrot_corrupt_drops} corrupt record(s) \
+         dropped and recomputed"
     );
     if mismatches > 0 {
         println!("FAIL: {mismatches} outcome(s) changed bits under store corruption");
@@ -408,8 +395,7 @@ fn main() {
     let workers = flag_value(&args, "--workers").unwrap_or(0);
     if args.iter().any(|a| a == "--kill-restart") {
         let rot_seeds = flag_value(&args, "--rot-seeds").unwrap_or(4);
-        let compact = args.iter().any(|a| a == "--compact");
-        let failures = kill_restart_campaign(num_jobs, rot_seeds, compact, json);
+        let failures = kill_restart_campaign(num_jobs, rot_seeds, json);
         if failures > 0 {
             println!("{failures} check(s) FAILED");
             std::process::exit(1);

@@ -61,7 +61,7 @@ fn digest(o: &JobOutcome) -> String {
 }
 
 fn build_jobs(n: usize) -> Vec<Job> {
-    let programs = vec![
+    let programs = [
         (
             "mcf",
             mcf::build_config(McfConfig {
@@ -253,7 +253,7 @@ fn net_campaign(seeds: usize, seed_start: u64, json: bool) -> usize {
                         let mut out = Vec::new();
                         let mut retries = 0u64;
                         for (i, line) in lines.iter().enumerate().skip(w).step_by(4) {
-                            let split = (seed as usize + i) % 4 == 0;
+                            let split = (seed as usize + i).is_multiple_of(4);
                             let (r, n) = send_with_retry(&addr, line, split);
                             retries += n;
                             out.push((i, r));

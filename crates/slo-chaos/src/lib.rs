@@ -76,14 +76,10 @@ pub enum Site {
     /// flipped on disk (bit rot); the checksummed read path must drop
     /// and recompute, never serve the damaged record.
     StoreBitRot,
-    /// `slo-service::store`: a stale compaction lock from a dead
-    /// process is planted before lock acquisition; the stale-lock
-    /// takeover path must reclaim it instead of deadlocking.
-    StoreLockStale,
 }
 
 /// Number of distinct [`Site`]s.
-pub const NUM_SITES: usize = 13;
+pub const NUM_SITES: usize = 12;
 
 /// Every site, in a fixed order (index = `site as usize`).
 pub const ALL_SITES: [Site; NUM_SITES] = [
@@ -99,7 +95,6 @@ pub const ALL_SITES: [Site; NUM_SITES] = [
     Site::NetAcceptStorm,
     Site::StoreTornWrite,
     Site::StoreBitRot,
-    Site::StoreLockStale,
 ];
 
 impl Site {
@@ -118,7 +113,6 @@ impl Site {
             Site::NetAcceptStorm => "net-accept-storm",
             Site::StoreTornWrite => "store-torn-write",
             Site::StoreBitRot => "store-bit-rot",
-            Site::StoreLockStale => "store-lock-stale",
         }
     }
 }
@@ -146,7 +140,6 @@ impl Default for ChaosConfig {
         rates[Site::NetAcceptStorm as usize] = 48; // ~5% of accepts storm
         rates[Site::StoreTornWrite as usize] = 64; // ~6% of puts torn
         rates[Site::StoreBitRot as usize] = 96; // ~9% of puts bit-rotted
-        rates[Site::StoreLockStale as usize] = 128; // ~12% of compactions contested
         ChaosConfig { rates }
     }
 }
@@ -318,19 +311,6 @@ impl FaultPlan {
     }
 }
 
-/// FNV-1a over arbitrary bytes — the workspace's stable content hash
-/// (same constants as `slo-ir`'s fingerprinting), exposed here so the
-/// journal and the retry schedule can derive per-job seeds without a
-/// dependency on the IR crate.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,12 +404,5 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), NUM_SITES);
-    }
-
-    #[test]
-    fn fnv1a_matches_reference_vector() {
-        // FNV-1a("a") from the published reference constants.
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
     }
 }

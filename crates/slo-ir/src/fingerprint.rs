@@ -75,6 +75,14 @@ impl Hasher for Fnv64 {
     }
 }
 
+/// FNV-1a over raw bytes (no length prefix): one-shot [`Fnv64`] for
+/// checksums and keys that hash a single byte string.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = Fnv64::new();
+    h.write(bytes);
+    h.digest()
+}
+
 /// Content hash of a program's *normalized* form.
 ///
 /// Normalization is the pretty-printer ([`crate::printer::print_program`]),
@@ -94,6 +102,13 @@ mod tests {
     use crate::parser::parse;
 
     const SRC: &str = "record n { a: i64, b: i64 }\nfunc main() -> i64 {\nbb0:\n  ret 0\n}\n";
+
+    #[test]
+    fn fnv1a_matches_reference_vector() {
+        // FNV-1a("a") from the published reference constants.
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+    }
 
     #[test]
     fn deterministic_and_text_sensitive() {

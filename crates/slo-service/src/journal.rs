@@ -11,10 +11,14 @@
 //! reruns.
 //!
 //! The format is deliberately dumb: one self-contained JSON object per
-//! line, flushed after every append. Replay tolerates a torn final
-//! line (the crash may have landed mid-write); anything that does not
-//! parse as a complete record is ignored. There is no compaction —
-//! journals are per-serve-session artifacts, not databases.
+//! line, written by one `write_all` and flushed after every append.
+//! Replay tolerates a torn final line (the crash may have landed
+//! mid-write); anything that does not parse as a complete record is
+//! ignored. Opening a journal whose last line lacks its newline ends
+//! that line first, so the next record starts a line of its own and a
+//! complete-but-unterminated record still replays. There is no
+//! compaction — journals are per-serve-session artifacts, not
+//! databases.
 //!
 //! Every record carries a trailing `"c"` field: an FNV-1a checksum of
 //! the record body, verified on replay. An interior line whose frame is
@@ -26,6 +30,7 @@
 
 use crate::job::{Job, JobStatus};
 use crate::proto;
+use slo_ir::fnv1a;
 use slo_obs::json::{write_str, Json};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -75,9 +80,12 @@ impl Journal {
     pub fn open(path: &Path) -> std::io::Result<Journal> {
         let mut completed = HashMap::new();
         let mut corrupt_skipped = 0;
+        let mut unterminated = false;
         if let Ok(f) = File::open(path) {
-            for line in BufReader::new(f).lines() {
-                let line = line?;
+            let mut reader = BufReader::new(f);
+            let mut line = String::new();
+            while reader.read_line(&mut line)? > 0 {
+                unterminated = !line.ends_with('\n');
                 match parse_record(&line) {
                     Parsed::Entry(key, entry) => {
                         completed.insert(key, entry);
@@ -85,9 +93,17 @@ impl Journal {
                     Parsed::Corrupt => corrupt_skipped += 1,
                     Parsed::Torn => {}
                 }
+                line.clear();
             }
         }
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
+        let mut file = OpenOptions::new().create(true).append(true).open(path)?;
+        if unterminated {
+            // A crash cut the last append short of its newline. End the
+            // line here rather than truncate it: the bytes may be a
+            // complete record, and appending onto them would fuse the
+            // next record into one unparseable line.
+            file.write_all(b"\n")?;
+        }
         let recovered = completed.len();
         Ok(Journal {
             path: path.to_path_buf(),
@@ -143,12 +159,10 @@ impl Journal {
         write_str(&mut body, summary);
         // The checksum covers everything before its own field, so a
         // replayer can verify without re-canonicalizing.
-        let line = format!(
-            "{body},\"c\":\"{:016x}\"}}",
-            slo_chaos::fnv1a(body.as_bytes())
-        );
+        // One write per record: a kill can tear the line, but never
+        // land between a complete record and its newline.
+        let line = format!("{body},\"c\":\"{:016x}\"}}\n", fnv1a(body.as_bytes()));
         self.file.write_all(line.as_bytes())?;
-        self.file.write_all(b"\n")?;
         self.file.flush()?;
         self.completed.insert(
             key,
@@ -185,7 +199,7 @@ fn parse_record(line: &str) -> Parsed {
         let sum = line[at + 6..]
             .strip_suffix("\"}")
             .and_then(|hex| u64::from_str_radix(hex, 16).ok());
-        if sum != Some(slo_chaos::fnv1a(&line.as_bytes()[..at])) {
+        if sum != Some(fnv1a(&line.as_bytes()[..at])) {
             return Parsed::Corrupt;
         }
     }
@@ -278,6 +292,50 @@ mod tests {
             0,
             "a torn tail is crash damage, not corruption"
         );
+    }
+
+    #[test]
+    fn record_after_a_torn_tail_survives_the_next_reopen() {
+        let p = tmp("torn-then-record.jsonl");
+        let _ = std::fs::remove_file(&p);
+        {
+            let mut j = Journal::open(&p).expect("open");
+            j.record(1, "a", &failed("x"), "s1").expect("record");
+            j.record(2, "b", &failed("x"), "s2").expect("record");
+        }
+        let text = std::fs::read_to_string(&p).expect("read");
+        std::fs::write(&p, &text[..text.len() - 25]).expect("truncate");
+        {
+            let mut j = Journal::open(&p).expect("reopen after crash");
+            assert_eq!(j.recovered(), 1);
+            j.record(3, "c", &failed("x"), "s3").expect("record");
+        }
+        let j = Journal::open(&p).expect("reopen");
+        assert_eq!(j.recovered(), 2, "the post-crash record replays");
+        assert!(j.lookup(3).is_some());
+        assert_eq!(j.corrupt_skipped(), 0, "the torn tail fused with nothing");
+    }
+
+    #[test]
+    fn complete_record_without_newline_replays_and_so_does_the_next() {
+        let p = tmp("unterminated.jsonl");
+        let _ = std::fs::remove_file(&p);
+        {
+            let mut j = Journal::open(&p).expect("open");
+            j.record(1, "a", &failed("x"), "s1").expect("record");
+        }
+        // A kill between a record and its newline.
+        let text = std::fs::read_to_string(&p).expect("read");
+        std::fs::write(&p, text.trim_end_matches('\n')).expect("strip newline");
+        {
+            let mut j = Journal::open(&p).expect("reopen");
+            assert_eq!(j.recovered(), 1, "the unterminated record replays");
+            j.record(2, "b", &failed("x"), "s2").expect("record");
+        }
+        let j = Journal::open(&p).expect("reopen");
+        assert_eq!(j.recovered(), 2);
+        assert!(j.lookup(1).is_some() && j.lookup(2).is_some());
+        assert_eq!(j.corrupt_skipped(), 0);
     }
 
     #[test]

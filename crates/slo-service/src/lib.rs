@@ -34,8 +34,7 @@
 //!   append-only, crash-safe, checksummed segment store layered under
 //!   the LRU (`slo batch/serve --store <dir>`) — analyses survive
 //!   restarts and SIGKILL, corrupt records are dropped, counted and
-//!   recomputed, never served, and compaction reclaims dead bytes
-//!   under a stale-safe lock.
+//!   recomputed, never served.
 //! * **One wire protocol** ([`proto`]): versioned [`Request`] /
 //!   [`Response`] types — manifest attribute syntax in, one-line JSON
 //!   out — shared verbatim by stdin serve, the TCP ingress and

@@ -65,7 +65,6 @@ impl ServiceMetrics {
             store_hits: 0,
             store_misses: 0,
             store_corrupt_drops: 0,
-            store_compactions: 0,
             store_bytes: 0,
             faults_injected: [0; slo_chaos::NUM_SITES],
             queue_wait_ns: ld(&self.queue_wait_ns),
@@ -120,8 +119,6 @@ pub struct MetricsSnapshot {
     /// Persistent-store records dropped by checksum or structural
     /// verification — never served.
     pub store_corrupt_drops: u64,
-    /// Completed persistent-store compaction passes.
-    pub store_compactions: u64,
     /// Bytes appended to persistent-store segments.
     pub store_bytes: u64,
     /// Faults injected by the service's chaos plan, per
@@ -191,7 +188,6 @@ impl MetricsSnapshot {
             store_hits: self.store_hits - earlier.store_hits,
             store_misses: self.store_misses - earlier.store_misses,
             store_corrupt_drops: self.store_corrupt_drops - earlier.store_corrupt_drops,
-            store_compactions: self.store_compactions - earlier.store_compactions,
             store_bytes: self.store_bytes - earlier.store_bytes,
             faults_injected,
             queue_wait_ns: self.queue_wait_ns - earlier.queue_wait_ns,
@@ -251,7 +247,6 @@ impl MetricsSnapshot {
             self.store_corrupt_drops as f64,
             &mut s,
         );
-        num("store_compactions", self.store_compactions as f64, &mut s);
         num("store_bytes", self.store_bytes as f64, &mut s);
         num("store_hit_rate", self.store_hit_rate(), &mut s);
         num("queue_wait_ns", self.queue_wait_ns as f64, &mut s);
@@ -336,9 +331,6 @@ impl MetricsSnapshot {
              slo_store_events_total{{event=\"hit\"}} {}\n\
              slo_store_events_total{{event=\"miss\"}} {}\n\
              slo_store_events_total{{event=\"corrupt_drop\"}} {}\n\
-             # HELP slo_store_compactions_total Persistent-store compaction passes.\n\
-             # TYPE slo_store_compactions_total counter\n\
-             slo_store_compactions_total {}\n\
              # HELP slo_store_bytes_written_total Bytes appended to store segments.\n\
              # TYPE slo_store_bytes_written_total counter\n\
              slo_store_bytes_written_total {}\n\
@@ -360,7 +352,6 @@ impl MetricsSnapshot {
             self.store_hits,
             self.store_misses,
             self.store_corrupt_drops,
-            self.store_compactions,
             self.store_bytes,
             self.store_hit_rate(),
             secs(self.queue_wait_ns),
@@ -424,7 +415,6 @@ mod tests {
             store_hits: 3,
             store_misses: 1,
             store_corrupt_drops: 2,
-            store_compactions: 1,
             store_bytes: 4096,
             faults_injected,
             fe_ns: 1_500_000,
@@ -443,7 +433,6 @@ mod tests {
             "slo_cache_events_total",
             "slo_cache_hit_rate",
             "slo_store_events_total",
-            "slo_store_compactions_total",
             "slo_store_bytes_written_total",
             "slo_store_hit_rate",
             "slo_phase_seconds_total",
@@ -459,7 +448,6 @@ mod tests {
         assert!(text.contains("slo_cache_hit_rate 0.5"));
         assert!(text.contains("slo_store_events_total{event=\"hit\"} 3"));
         assert!(text.contains("slo_store_events_total{event=\"corrupt_drop\"} 2"));
-        assert!(text.contains("slo_store_compactions_total 1"));
         assert!(text.contains("slo_store_bytes_written_total 4096"));
         assert!(text.contains("slo_store_hit_rate 0.75"));
     }

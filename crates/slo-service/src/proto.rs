@@ -33,7 +33,7 @@ use crate::job::{Job, JobInput, JobStatus};
 use crate::journal::Journal;
 use crate::manifest::{chaos_line, parse_job_line};
 use crate::service::Service;
-use slo_chaos::fnv1a;
+use slo_ir::fnv1a;
 use slo_obs::json::{write_str, Json};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};

@@ -36,8 +36,8 @@ use crate::pool::par_map_supervised;
 use crate::store::AnalysisStore;
 use slo::analysis::{ipa_fingerprint, WeightScheme};
 use slo::{Analysis, Evaluation};
-use slo_chaos::{fnv1a, Clock, FaultPlan, RetryPolicy};
-use slo_ir::{printer::print_program, Program};
+use slo_chaos::{Clock, FaultPlan, RetryPolicy};
+use slo_ir::{fnv1a, printer::print_program, Program};
 use slo_vm::{ExecError, ExecOutcome, Feedback, VmOptions};
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -168,19 +168,6 @@ impl Service {
             .map(|s| s.lock().expect("store lock").counters())
     }
 
-    /// Compact the attached persistent store (no-op without one).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`AnalysisStore::compact`] errors, including
-    /// [`std::io::ErrorKind::WouldBlock`] for a live contending lock.
-    pub fn compact_store(&self) -> std::io::Result<()> {
-        match &self.store {
-            Some(s) => s.lock().expect("store lock").compact(),
-            None => Ok(()),
-        }
-    }
-
     /// The fault plan threaded through this service (disabled unless
     /// built with [`Service::with_chaos`]).
     pub fn fault_plan(&self) -> &FaultPlan {
@@ -212,7 +199,6 @@ impl Service {
             snap.store_hits = c.hits;
             snap.store_misses = c.misses;
             snap.store_corrupt_drops = c.corrupt_drops;
-            snap.store_compactions = c.compactions;
             snap.store_bytes = c.bytes_written;
         }
         snap

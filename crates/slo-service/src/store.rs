@@ -41,27 +41,22 @@
 //! segments still replay: damage is contained to the segment it
 //! happened in.
 //!
-//! # Compaction
-//!
-//! [`AnalysisStore::compact`] rewrites live records into a fresh sealed
-//! segment and deletes the old files, reclaiming space held by dead
-//! (superseded or corrupt) records. It runs under an exclusive
-//! `store.lock` file carrying the owner's pid; a lock whose owner is no
-//! longer alive is stale and is reclaimed, so a compactor killed
-//! mid-pass never wedges the store.
+//! Nothing rewrites segments. A put of a key the store already holds
+//! is a no-op, so no record is ever superseded: only torn writes and
+//! rot leave dead bytes behind.
 //!
 //! # Fault injection
 //!
-//! Three [`Site`]s prove the robustness claims deterministically:
+//! Two [`Site`]s prove the robustness claims deterministically:
 //! [`Site::StoreTornWrite`] truncates a put mid-body (and rolls the
-//! segment, as a crash would), [`Site::StoreBitRot`] flips one byte of
-//! a just-written record on disk, and [`Site::StoreLockStale`] plants a
-//! dead compactor's lock file before compaction acquires it.
+//! segment, as a crash would), and [`Site::StoreBitRot`] flips one byte
+//! of a just-written record on disk.
 //!
 //! [`ipa_fingerprint`]: slo::analysis::ipa_fingerprint
 
 use slo::Analysis;
-use slo_chaos::{fnv1a, FaultPlan, Site};
+use slo_chaos::{FaultPlan, Site};
+use slo_ir::fnv1a;
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -77,8 +72,8 @@ const TRAILER_BYTES: usize = 8;
 /// Upper bound on one record's payload — a length field beyond this is
 /// frame damage, not data.
 const MAX_PAYLOAD_BYTES: u32 = 256 * 1024 * 1024;
-/// Default seal threshold for the active segment.
-const DEFAULT_SEGMENT_BYTES: u64 = 4 * 1024 * 1024;
+/// Seal threshold for the active segment.
+const SEGMENT_BYTES: u64 = 4 * 1024 * 1024;
 
 /// Point-in-time store counters, mirrored into the service metrics as
 /// the `slo_store_*` Prometheus families.
@@ -89,10 +84,8 @@ pub struct StoreCounters {
     /// Reads of keys the store does not hold.
     pub misses: u64,
     /// Records dropped by checksum or structural verification — at
-    /// open-time scan, on read, or during compaction.
+    /// open-time scan or on read.
     pub corrupt_drops: u64,
-    /// Completed compaction passes.
-    pub compactions: u64,
     /// Bytes appended to segments since open (live + since-dead).
     pub bytes_written: u64,
 }
@@ -176,17 +169,11 @@ impl AnalysisStore {
             active,
             active_id,
             active_len: 0,
-            seal_bytes: DEFAULT_SEGMENT_BYTES,
+            seal_bytes: SEGMENT_BYTES,
             counters,
             trace,
             faults,
         })
-    }
-
-    /// Override the active-segment seal threshold (tests and compaction
-    /// experiments use small segments to force frequent seals).
-    pub fn set_segment_bytes(&mut self, bytes: u64) {
-        self.seal_bytes = bytes.max(1);
     }
 
     /// Number of live (indexed) records.
@@ -309,136 +296,6 @@ impl AnalysisStore {
         Ok(())
     }
 
-    /// Rewrite live records into a fresh sealed segment and delete the
-    /// old segment files, under the stale-safe exclusive lock. Records
-    /// that fail verification during the rewrite are dropped and
-    /// counted, like any other read.
-    ///
-    /// # Errors
-    ///
-    /// [`std::io::ErrorKind::WouldBlock`] when another live process
-    /// holds the compaction lock; otherwise propagates I/O errors.
-    pub fn compact(&mut self) -> std::io::Result<()> {
-        let rec = self.trace.clone();
-        let mut span = rec.span("store", "compact");
-        if self.faults.should_fire(Site::StoreLockStale) {
-            // Plant a dead compactor's lock: a pid that cannot be
-            // alive. Acquisition below must treat it as stale.
-            fs::write(self.lock_path(), format!("{}\n", u32::MAX))?;
-            span.arg("fault", "lock-stale");
-        }
-        self.acquire_lock()?;
-        let result = self.compact_locked(&mut span);
-        let _ = fs::remove_file(self.lock_path());
-        result
-    }
-
-    fn compact_locked(&mut self, span: &mut slo_obs::SpanGuard<'_>) -> std::io::Result<()> {
-        // Everything live moves into one fresh segment; seal the active
-        // one first so the old namespace is all `.seg`.
-        self.roll_segment()?;
-        let old_segments: Vec<u64> = {
-            let mut ids: Vec<u64> = self
-                .index
-                .values()
-                .map(|l| l.seg)
-                .chain(existing_segments(&self.dir)?)
-                .collect();
-            ids.sort_unstable();
-            ids.dedup();
-            ids.retain(|&id| id != self.active_id);
-            ids
-        };
-
-        // Survivors re-verify on the way through — compaction never
-        // copies damage forward.
-        let mut keys: Vec<u64> = self.index.keys().copied().collect();
-        keys.sort_unstable();
-        let new_id = self.active_id + 1;
-        let tmp = self.dir.join(segment_name(new_id, ".cpt"));
-        let mut out = File::create(&tmp)?;
-        let mut new_index = HashMap::new();
-        let mut offset = 0u64;
-        for key in keys {
-            let loc = self.index[&key];
-            match self.read_frame_bytes(key, loc) {
-                Some(frame) => {
-                    out.write_all(&frame)?;
-                    new_index.insert(
-                        key,
-                        Loc {
-                            seg: new_id,
-                            offset,
-                            frame: frame.len() as u32,
-                        },
-                    );
-                    offset += frame.len() as u64;
-                    self.counters.bytes_written += frame.len() as u64;
-                }
-                None => self.counters.corrupt_drops += 1,
-            }
-        }
-        out.sync_all()?;
-        drop(out);
-        fs::rename(&tmp, self.dir.join(segment_name(new_id, ".seg")))?;
-
-        for id in old_segments {
-            let _ = fs::remove_file(self.dir.join(segment_name(id, ".seg")));
-        }
-        self.index = new_index;
-        self.counters.compactions += 1;
-
-        // Fresh active segment above the compacted one.
-        self.active_id = new_id + 1;
-        self.active = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.dir.join(segment_name(self.active_id, ".open")))?;
-        self.active_len = 0;
-        span.arg("live_records", self.index.len() as i64);
-        span.arg("live_bytes", offset as i64);
-        Ok(())
-    }
-
-    fn lock_path(&self) -> PathBuf {
-        self.dir.join("store.lock")
-    }
-
-    /// Take the exclusive compaction lock, reclaiming it if its owner
-    /// is dead (stale). `WouldBlock` if a live owner holds it.
-    fn acquire_lock(&self) -> std::io::Result<()> {
-        for _ in 0..2 {
-            match OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(self.lock_path())
-            {
-                Ok(mut f) => {
-                    writeln!(f, "{}", std::process::id())?;
-                    return Ok(());
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    let owner = fs::read_to_string(self.lock_path())
-                        .ok()
-                        .and_then(|s| s.trim().parse::<u32>().ok());
-                    if owner.is_some_and(pid_alive) {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::WouldBlock,
-                            "compaction lock held by a live process",
-                        ));
-                    }
-                    // Unreadable, unparseable or dead owner: stale.
-                    let _ = fs::remove_file(self.lock_path());
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(std::io::Error::new(
-            std::io::ErrorKind::WouldBlock,
-            "compaction lock contended",
-        ))
-    }
-
     /// Seal the active segment (flush, fsync, atomic rename to `.seg`)
     /// and open a fresh one. A kill between any two steps leaves either
     /// a replayable `.open` or a complete `.seg` — never a half-name.
@@ -457,23 +314,16 @@ impl AnalysisStore {
         Ok(())
     }
 
-    /// Read and fully verify one indexed frame; `None` on any damage.
+    /// Read one indexed frame, verify its magic, key and checksum, and
+    /// decode it; `None` on any damage (including the file having
+    /// vanished).
     fn read_frame(&self, key: u64, loc: Loc) -> Option<Analysis> {
-        let frame = self.read_frame_bytes(key, loc)?;
-        let payload = &frame[HEADER_BYTES..frame.len() - TRAILER_BYTES];
-        slo::decode_analysis(payload).ok()
-    }
-
-    /// Read one frame's raw bytes and verify magic, key and checksum;
-    /// `None` on any damage (including the file having vanished).
-    fn read_frame_bytes(&self, key: u64, loc: Loc) -> Option<Vec<u8>> {
-        let path = self.segment_path(loc.seg)?;
-        let mut f = File::open(path).ok()?;
+        let mut f = File::open(self.segment_path(loc.seg)?).ok()?;
         f.seek(SeekFrom::Start(loc.offset)).ok()?;
         let mut frame = vec![0u8; loc.frame as usize];
         f.read_exact(&mut frame).ok()?;
         verify_frame(&frame, Some(key))?;
-        Some(frame)
+        slo::decode_analysis(&frame[HEADER_BYTES..frame.len() - TRAILER_BYTES]).ok()
     }
 
     fn segment_path(&self, seg: u64) -> Option<PathBuf> {
@@ -486,40 +336,12 @@ impl AnalysisStore {
     }
 }
 
-/// Whether `pid` names a live process (the stale-lock test). Outside
-/// procfs platforms the conservative answer is "alive": a lock is then
-/// only reclaimed when its content is damaged.
-fn pid_alive(pid: u32) -> bool {
-    if pid == std::process::id() {
-        // Our own pid on the lock can only be a leftover from a crashed
-        // predecessor that recycled onto us: we never hold the lock
-        // while acquiring it.
-        return false;
-    }
-    if cfg!(target_os = "linux") {
-        Path::new(&format!("/proc/{pid}")).exists()
-    } else {
-        true
-    }
-}
-
 fn segment_name(id: u64, ext: &str) -> String {
     format!("seg-{id:06}{ext}")
 }
 
 fn segment_id(name: &str, ext: &str) -> Option<u64> {
     name.strip_prefix("seg-")?.strip_suffix(ext)?.parse().ok()
-}
-
-fn existing_segments(dir: &Path) -> std::io::Result<Vec<u64>> {
-    let mut ids = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let name = entry?.file_name();
-        if let Some(id) = segment_id(&name.to_string_lossy(), ".seg") {
-            ids.push(id);
-        }
-    }
-    Ok(ids)
 }
 
 /// Build one record frame: header, payload, trailing checksum over
@@ -557,7 +379,8 @@ fn verify_frame(frame: &[u8], expect_key: Option<u64>) -> Option<u64> {
 /// Replay one sealed segment into the index. Interior records with an
 /// intact frame but a bad checksum are skipped and counted; frame
 /// damage (bad magic, impossible length, missing bytes) ends the scan
-/// — the torn-tail case.
+/// — the torn-tail case — and the leftover bytes count once, however
+/// short.
 fn scan_segment(
     path: &Path,
     seg: u64,
@@ -566,25 +389,18 @@ fn scan_segment(
 ) -> std::io::Result<()> {
     let bytes = fs::read(path)?;
     let mut pos = 0usize;
-    while bytes.len() - pos >= HEADER_BYTES + TRAILER_BYTES {
-        let head = &bytes[pos..];
-        if head[..4] != RECORD_MAGIC {
+    while pos < bytes.len() {
+        let rest = &bytes[pos..];
+        let frame_len = (rest.len() >= HEADER_BYTES && rest[..4] == RECORD_MAGIC)
+            .then(|| u32::from_le_bytes(rest[12..16].try_into().unwrap()))
+            .filter(|&len| len <= MAX_PAYLOAD_BYTES)
+            .map(|len| HEADER_BYTES + len as usize + TRAILER_BYTES)
+            .filter(|&n| n <= rest.len());
+        let Some(frame_len) = frame_len else {
             counters.corrupt_drops += 1;
             break;
-        }
-        let len = u32::from_le_bytes(head[12..16].try_into().unwrap());
-        if len > MAX_PAYLOAD_BYTES {
-            counters.corrupt_drops += 1;
-            break;
-        }
-        let frame_len = HEADER_BYTES + len as usize + TRAILER_BYTES;
-        if bytes.len() - pos < frame_len {
-            // Torn tail: the final append never finished.
-            counters.corrupt_drops += 1;
-            break;
-        }
-        let frame = &bytes[pos..pos + frame_len];
-        match verify_frame(frame, None) {
+        };
+        match verify_frame(&rest[..frame_len], None) {
             Some(key) => {
                 index.insert(
                     key,
@@ -602,11 +418,6 @@ fn scan_segment(
             }
         }
         pos += frame_len;
-    }
-    if pos < bytes.len() && bytes.len() - pos < HEADER_BYTES + TRAILER_BYTES && pos == 0 {
-        // A tail too short to even hold a header on an otherwise empty
-        // segment still counts as damage observed.
-        counters.corrupt_drops += 1;
     }
     Ok(())
 }
@@ -734,65 +545,48 @@ mod tests {
     }
 
     #[test]
-    fn compaction_reclaims_dead_records_and_keeps_live_ones() {
-        let dir = tmp("compact");
+    fn short_torn_tail_after_an_intact_record_is_counted() {
+        let dir = tmp("short-tail");
         let mut s = open(&dir);
-        s.set_segment_bytes(1); // seal after every put: many segments
-        for k in 1..=4u64 {
-            s.put(k, &analysis_for(k as i64)).expect("put");
-        }
-        // Kill one record via simulated rot + drop; its bytes are dead.
-        let seg = s.segment_path(s.index[&2].seg).expect("segment path");
-        let mut bytes = fs::read(&seg).expect("read");
-        bytes[HEADER_BYTES] ^= 0xff;
-        fs::write(&seg, &bytes).expect("write");
-        assert!(s.get(2).is_none());
-
-        let disk_before: u64 = dir_bytes(&dir);
-        s.compact().expect("compact");
-        let disk_after: u64 = dir_bytes(&dir);
-        assert!(
-            disk_after < disk_before,
-            "compaction must reclaim bytes ({disk_before} -> {disk_after})"
-        );
-        assert_eq!(s.counters().compactions, 1);
-        for k in [1u64, 3, 4] {
-            assert!(s.get(k).is_some(), "live record {k} survives compaction");
-        }
-        assert!(!s.lock_path().exists(), "lock released");
+        s.put(1, &analysis_for(1)).expect("put");
+        s.put(2, &analysis_for(2)).expect("put");
+        let seg = s.segment_path(s.index[&1].seg).expect("segment path");
+        let second = s.index[&2];
         drop(s);
+        // Leave only 10 bytes of the second record: shorter than a
+        // frame's header and trailer together.
+        let bytes = fs::read(&seg).expect("read");
+        fs::write(&seg, &bytes[..second.offset as usize + 10]).expect("truncate");
+
         let mut s = open(&dir);
-        assert_eq!(s.len(), 3, "compacted store replays");
-        assert!(s.get(3).is_some());
+        assert_eq!(s.len(), 1);
+        assert!(s.get(1).is_some());
+        assert_eq!(s.counters().corrupt_drops, 1, "the short tail is counted");
         let _ = fs::remove_dir_all(&dir);
     }
 
-    fn dir_bytes(dir: &Path) -> u64 {
-        fs::read_dir(dir)
+    #[test]
+    fn full_segments_seal_and_replay() {
+        let dir = tmp("seal");
+        let mut s = open(&dir);
+        s.seal_bytes = 1; // every put fills the active segment
+        for k in 1..=3u64 {
+            s.put(k, &analysis_for(k as i64)).expect("put");
+        }
+        let sealed = fs::read_dir(&dir)
             .expect("dir")
             .filter_map(|e| e.ok())
-            .filter_map(|e| e.metadata().ok())
-            .map(|m| m.len())
-            .sum()
-    }
+            .filter(|e| segment_id(&e.file_name().to_string_lossy(), ".seg").is_some())
+            .count();
+        assert_eq!(sealed, 3, "one sealed segment per put");
+        drop(s);
 
-    #[test]
-    fn stale_lock_is_reclaimed_live_lock_blocks() {
-        let dir = tmp("lock");
         let mut s = open(&dir);
-        s.put(1, &analysis_for(1)).expect("put");
-        // Dead owner: u32::MAX can never be a live pid.
-        fs::write(s.lock_path(), format!("{}\n", u32::MAX)).expect("plant stale lock");
-        s.compact().expect("stale lock must be reclaimed");
-        assert_eq!(s.counters().compactions, 1);
-
-        if cfg!(target_os = "linux") {
-            // Live owner: pid 1 always exists on Linux.
-            fs::write(s.lock_path(), "1\n").expect("plant live lock");
-            let err = s.compact().expect_err("live lock must block");
-            assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock);
-            let _ = fs::remove_file(s.lock_path());
+        assert_eq!(s.len(), 3);
+        for k in 1..=3u64 {
+            assert!(s.get(k).is_some(), "sealed record {k} replays");
         }
+        assert_eq!(s.counters().corrupt_drops, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -827,20 +621,6 @@ mod tests {
         assert_eq!(plan.injected(Site::StoreBitRot), 1);
         assert!(s.get(1).is_none(), "rotted record dropped, not served");
         assert_eq!(s.counters().corrupt_drops, 1);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn chaos_stale_lock_site_exercises_takeover() {
-        let dir = tmp("chaos-lock");
-        let plan = FaultPlan::with_config(3, ChaosConfig::never().rate(Site::StoreLockStale, 1024));
-        let mut s =
-            AnalysisStore::open(&dir, slo_obs::Recorder::disabled(), plan.clone()).expect("open");
-        s.put(1, &analysis_for(1)).expect("put");
-        s.compact().expect("compact through the planted stale lock");
-        assert_eq!(plan.injected(Site::StoreLockStale), 1);
-        assert_eq!(s.counters().compactions, 1);
-        assert!(s.get(1).is_some());
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -349,7 +349,7 @@ mod tests {
     fn oob_detected() {
         let mut h = Heap::new();
         let a = h.alloc(8);
-        let far = a + 1 << 30;
+        let far = (a + 1) << 30;
         assert!(matches!(
             h.read_bytes(far, 8),
             Err(MemError::OutOfBounds { .. })

@@ -27,7 +27,7 @@ use slo_analysis::ipa::{aggregate, IpaResult, LegalityConfig};
 use slo_analysis::legality::analyze_all_units;
 use slo_analysis::schemes::{block_frequencies, WeightScheme};
 use slo_ir::{Fnv64, Program, RecordId};
-use slo_transform::{apply_plan, decide, HeuristicsConfig, TransformPlan};
+use slo_transform::{apply_plan, decide, HeuristicsConfig, RewriteError, TransformPlan};
 use slo_vm::Feedback;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -452,8 +452,8 @@ pub fn evaluate(
 ///
 /// # Errors
 ///
-/// Propagates VM execution errors of the optimized run; also fails if
-/// the two programs do not compute the same result.
+/// Propagates VM execution errors of the optimized run; a result
+/// mismatch between the two programs is a [`SloError::Transform`].
 pub fn evaluate_against(
     baseline: &slo_vm::ExecOutcome,
     optimized: &Program,
@@ -461,10 +461,12 @@ pub fn evaluate_against(
 ) -> Result<Evaluation, SloError> {
     let b = baseline.stats.without_instrumentation();
     let o = slo_vm::run(optimized, opts)?;
-    assert_eq!(
-        baseline.exit, o.exit,
-        "transformed program changed the computed result"
-    );
+    if baseline.exit != o.exit {
+        return Err(SloError::Transform(RewriteError::Unsupported(format!(
+            "transformed program changed the computed result ({:?} -> {:?})",
+            baseline.exit, o.exit
+        ))));
+    }
     Ok(Evaluation {
         baseline_cycles: b.cycles,
         optimized_cycles: o.stats.cycles,
@@ -530,6 +532,16 @@ bb3:
         let eval = evaluate(&p, &res.program, &slo_vm::VmOptions::default()).expect("evaluate");
         assert!(eval.baseline_cycles > 0);
         assert!(eval.optimized_cycles > 0);
+    }
+
+    #[test]
+    fn result_mismatch_is_a_transform_error_not_a_panic() {
+        let ret = |v: i64| {
+            parse(&format!("func main() -> i64 {{\nbb0:\n  ret {v}\n}}\n")).expect("parse")
+        };
+        let err = evaluate(&ret(1), &ret(2), &slo_vm::VmOptions::default())
+            .expect_err("different results must not evaluate");
+        assert!(matches!(err, SloError::Transform(_)), "{err}");
     }
 
     #[test]
