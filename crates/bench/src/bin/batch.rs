@@ -31,6 +31,7 @@
 //! ```
 
 use bench::report::{json_flag, record_batch, record_store, BatchStats, StoreStats};
+use slo_obs::json::Json;
 use slo_service::{
     AnalysisStore, Budget, ChaosConfig, Degradation, Fault, FaultPlan, Job, JobOutcome, JobStatus,
     SchemeSpec, Service, ServiceConfig, Site,
@@ -134,16 +135,22 @@ fn slo_bin() -> std::path::PathBuf {
         .join(format!("slo{}", std::env::consts::EXE_SUFFIX))
 }
 
-/// Extract `"key": N` from the CLI's flat metrics JSON line.
-fn json_u64(line: &str, key: &str) -> Option<u64> {
-    let tag = format!("\"{key}\": ");
-    let at = line.find(&tag)? + tag.len();
-    line[at..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .ok()
+/// The metrics object `slo batch --json` prints as its last JSON line.
+fn metrics_of(stdout: &str) -> Json {
+    let line = stdout
+        .lines()
+        .rev()
+        .find(|l| l.trim_start().starts_with('{'))
+        .unwrap_or_else(|| panic!("`slo batch --json` printed no metrics line:\n{stdout}"));
+    Json::parse(line).unwrap_or_else(|e| panic!("metrics line does not parse: {e}\n{line}"))
+}
+
+/// Counter `key` of a metrics object. A missing key fails the campaign
+/// instead of reading as 0.
+fn metric(m: &Json, key: &str) -> u64 {
+    m.get(key)
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("metrics line has no counter `{key}`"))
 }
 
 /// The per-job result lines of a `slo batch` run, with the `[cached]`
@@ -256,19 +263,12 @@ fn kill_restart_campaign(num_jobs: usize, rot_seeds: usize, json: bool) -> u32 {
         String::from_utf8_lossy(&out.stdout).into_owned()
     };
     let complete = run_batch();
-    let metrics_line = |s: &str| {
-        s.lines()
-            .rev()
-            .find(|l| l.trim_start().starts_with('{'))
-            .map(str::to_string)
-            .unwrap_or_default()
-    };
-    let complete_m = metrics_line(&complete);
-    let survivors = json_u64(&complete_m, "store_hits").unwrap_or(0);
+    let complete_m = metrics_of(&complete);
+    let survivors = metric(&complete_m, "store_hits");
     println!(
         "kill-restart: completing batch found {survivors} analysis record(s) \
          survived the kill ({} corrupt dropped)",
-        json_u64(&complete_m, "store_corrupt_drops").unwrap_or(0)
+        metric(&complete_m, "store_corrupt_drops")
     );
     if answered > 0 && survivors == 0 {
         println!("FAIL: answered jobs must leave replayable store records");
@@ -278,10 +278,10 @@ fn kill_restart_campaign(num_jobs: usize, rot_seeds: usize, json: bool) -> u32 {
     // Phase C: the warm-start measurement — a cold process over the
     // now-complete store must serve (nearly) everything from disk.
     let warm = run_batch();
-    let warm_m = metrics_line(&warm);
+    let warm_m = metrics_of(&warm);
     let (hits, misses) = (
-        json_u64(&warm_m, "store_hits").unwrap_or(0),
-        json_u64(&warm_m, "store_misses").unwrap_or(0),
+        metric(&warm_m, "store_hits"),
+        metric(&warm_m, "store_misses"),
     );
     let warm_hit_rate = if hits + misses == 0 {
         0.0
@@ -311,8 +311,8 @@ fn kill_restart_campaign(num_jobs: usize, rot_seeds: usize, json: bool) -> u32 {
     } else {
         println!("ok: disk-served outcomes bit-identical to computed");
     }
-    let corrupt_drops = json_u64(&complete_m, "store_corrupt_drops").unwrap_or(0)
-        + json_u64(&warm_m, "store_corrupt_drops").unwrap_or(0);
+    let corrupt_drops =
+        metric(&complete_m, "store_corrupt_drops") + metric(&warm_m, "store_corrupt_drops");
 
     // Bit-rot sweep: seeded in-process campaigns that rot records as
     // they are written, then reread them cold. Rot may cost recomputes

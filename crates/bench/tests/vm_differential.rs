@@ -252,6 +252,50 @@ fn step_limit_identical_across_engines() {
     assert_eq!(s.stats.instructions, total);
 }
 
+#[test]
+fn oversized_memory_is_refused_identically() {
+    // A global or an allocation past the simulated memory, including a
+    // `count * size` that overflows, is the same typed error on both
+    // engines, located at the instruction for allocations.
+    let main = "func main() -> i64 {\nbb0:\n";
+    for (src, at) in [
+        (
+            format!("global G: [i64; 1000000000000]\n{main}  ret 0\n}}\n"),
+            None,
+        ),
+        (
+            format!("{main}  r0 = alloc i64, 1000000000000\n  ret 0\n}}\n"),
+            Some((0, 0)),
+        ),
+        (
+            format!("{main}  r0 = zalloc i64, 4611686018427387905\n  ret 0\n}}\n"),
+            Some((0, 0)),
+        ),
+        (
+            format!(
+                "{main}  r0 = alloc i64, 2\n  r1 = realloc r0, i64, 1000000000000\n  ret 0\n}}\n"
+            ),
+            Some((0, 1)),
+        ),
+    ] {
+        let prog = slo_ir::parser::parse(&src).expect("parses");
+        assert!(slo_ir::verify::verify(&prog).is_empty(), "{src}");
+        let opts = VmOptions::plain();
+        let d = run(&prog, &opts).expect_err("decoded refuses");
+        let s = run(&prog, &opts.clone().structured()).expect_err("structured refuses");
+        assert_eq!(d, s, "{src}");
+        let err = match (&d, at) {
+            (ExecError::Mem(err), None) => err,
+            (ExecError::MemAt { err, at: loc, .. }, Some(at)) if *loc == at => err,
+            other => panic!("{src}: unexpected {other:?}"),
+        };
+        assert!(
+            matches!(err, slo_vm::MemError::OutOfMemory { .. }),
+            "{src}: {d}"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------
 // Full-size suite (the exact programs the tables run). ~13 CPU-minutes;
 // excluded from the default run, executed with `-- --ignored`.

@@ -103,6 +103,118 @@ fn exit_codes_distinguish_error_domains() {
     let _ = std::fs::remove_file(&bad);
 }
 
+fn regression(name: &str) -> PathBuf {
+    let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    p.pop();
+    p.pop();
+    p.push("fuzz/regressions");
+    p.push(name);
+    assert!(p.exists(), "regression missing: {}", p.display());
+    p
+}
+
+/// Type graphs with no finite layout (or a size past `u64`) are refused
+/// by every front end before any layout is read.
+#[test]
+fn type_graph_repros_exit_3_under_every_front_end() {
+    for (file, named) in [
+        ("type-self-cycle.sir", "record `p` contains itself by value"),
+        ("type-two-record-cycle.sir", "(p -> q -> p)"),
+        (
+            "type-array-cycle.sir",
+            "record `p` contains itself by value",
+        ),
+        (
+            "type-array-size-overflow.sir",
+            "size of `[i64; 4611686018427387904]` overflows u64",
+        ),
+    ] {
+        for cmd in ["print", "analyze", "advise", "optimize", "run"] {
+            let out = slo()
+                .arg(cmd)
+                .arg(regression(file))
+                .output()
+                .expect("spawn slo");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(3), "{cmd} {file}: {err}");
+            assert!(
+                err.contains("invalid IR") && err.contains(named),
+                "{cmd} {file}: {err}"
+            );
+        }
+    }
+}
+
+#[test]
+fn serve_answers_the_job_after_a_cyclic_record() {
+    use std::io::Write as _;
+    let good = sample();
+    let bad = regression("type-self-cycle.sir");
+    let mut child = slo()
+        .args(["serve"])
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn slo serve");
+    let jobs = format!(
+        "{} scheme=ispbo\n{} scheme=ispbo\n{} scheme=ispbo\nquit\n",
+        good.display(),
+        bad.display(),
+        good.display()
+    );
+    child
+        .stdin
+        .as_mut()
+        .expect("stdin")
+        .write_all(jobs.as_bytes())
+        .expect("write jobs");
+    let out = child.wait_with_output().expect("wait");
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    let replies: Vec<slo_service::Response> = text
+        .lines()
+        .filter(|l| l.starts_with('{'))
+        .map(|l| slo_service::Response::parse(l).expect("reply parses"))
+        .collect();
+    assert_eq!(replies.len(), 3, "one reply per job:\n{text}");
+    assert_eq!(replies[0].status, "optimized", "{text}");
+    assert_eq!(replies[1].status, "failed", "{text}");
+    assert!(
+        replies[1]
+            .message
+            .as_deref()
+            .is_some_and(|m| m.contains("invalid IR")),
+        "{text}"
+    );
+    assert_eq!(replies[2].status, "optimized", "{text}");
+}
+
+#[test]
+fn batch_reports_a_cyclic_record_as_failed() {
+    let dir = std::env::temp_dir().join(format!("slo-e2e-cycle-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let manifest = dir.join("manifest.txt");
+    std::fs::write(
+        &manifest,
+        format!(
+            "{} scheme=ispbo\n{} scheme=ispbo\n",
+            regression("type-two-record-cycle.sir").display(),
+            sample().display()
+        ),
+    )
+    .expect("write manifest");
+    let out = slo()
+        .arg("batch")
+        .arg(&manifest)
+        .output()
+        .expect("spawn slo");
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("1 failed"), "{text}");
+    assert!(text.contains("invalid IR"), "{text}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn smoke_manifest() -> PathBuf {
     let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     p.pop();

@@ -70,5 +70,5 @@ pub use fingerprint::{fingerprint_program, fnv1a, Fnv64};
 pub use instr::{BinOp, BlockId, CmpOp, Const, FuncId, GlobalId, Instr, InstrRef, Operand, Reg};
 pub use module::{BasicBlock, FuncKind, Function, GlobalVar, Program, Unit};
 pub use types::{
-    Field, LayoutCache, RecordId, RecordLayout, RecordType, ScalarKind, Type, TypeId, TypeTable,
+    Field, LayoutError, RecordId, RecordLayout, RecordType, ScalarKind, Type, TypeId, TypeTable,
 };

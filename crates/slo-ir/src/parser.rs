@@ -245,6 +245,9 @@ fn lex_number(src: &str, start: usize, line: u32) -> PResult<(Tok, usize)> {
     Ok((tok, i))
 }
 
+/// Deepest nesting of `ptr<…>` and `[…; n]` a type may have.
+const MAX_TYPE_DEPTH: u32 = 256;
+
 struct Parser {
     toks: Vec<(Tok, u32)>,
     pos: usize,
@@ -316,6 +319,16 @@ impl Parser {
     // ---- types -----------------------------------------------------------
 
     fn parse_type(&mut self) -> PResult<TypeId> {
+        self.parse_type_at(0)
+    }
+
+    /// Parse a type nested `depth` levels inside pointer and array
+    /// brackets. The bound keeps this parser and every walk over the
+    /// resulting type (printing, pointee lookups) off deep stacks.
+    fn parse_type_at(&mut self, depth: u32) -> PResult<TypeId> {
+        if depth == MAX_TYPE_DEPTH {
+            return self.err(format!("type nested deeper than {MAX_TYPE_DEPTH} levels"));
+        }
         match self.bump() {
             Tok::Ident(name) => {
                 if name == "void" {
@@ -329,7 +342,7 @@ impl Parser {
                 }
                 if name == "ptr" {
                     self.expect(Tok::LAngle)?;
-                    let inner = self.parse_type()?;
+                    let inner = self.parse_type_at(depth + 1)?;
                     self.expect(Tok::RAngle)?;
                     return Ok(self.prog.types.ptr(inner));
                 }
@@ -343,7 +356,7 @@ impl Parser {
                 }
             }
             Tok::LBrack => {
-                let elem = self.parse_type()?;
+                let elem = self.parse_type_at(depth + 1)?;
                 self.expect(Tok::Semi)?;
                 let n = self.int()?;
                 self.expect(Tok::RBrack)?;
@@ -485,7 +498,13 @@ pub fn parse(src: &str) -> PResult<Program> {
                         let fty = p.parse_type()?;
                         let bw = if *p.peek() == Tok::Colon {
                             p.bump();
-                            Some(p.int()? as u8)
+                            let w = p.int()?;
+                            match u8::try_from(w) {
+                                Ok(w) => Some(w),
+                                Err(_) => {
+                                    return p.err(format!("bit-field width {w} out of range"))
+                                }
+                            }
                         } else {
                             None
                         };
@@ -1126,6 +1145,31 @@ bb0:
     fn error_unknown_type() {
         let err = parse("global G: banana").expect_err("should fail");
         assert!(err.message.contains("unknown type"));
+    }
+
+    #[test]
+    fn type_nesting_is_bounded() {
+        let nested =
+            |depth: usize| format!("global G: {}i64{}", "ptr<".repeat(depth), ">".repeat(depth));
+        assert!(parse(&nested(MAX_TYPE_DEPTH as usize - 1)).is_ok());
+        for depth in [MAX_TYPE_DEPTH as usize, 200_000] {
+            let err = parse(&nested(depth)).expect_err("too deep");
+            assert!(err.message.contains("nested deeper than 256"), "{err}");
+        }
+        let arrays = format!("global G: {}i64{}", "[".repeat(300), "; 1]".repeat(300));
+        assert!(parse(&arrays).is_err());
+    }
+
+    #[test]
+    fn bit_field_width_must_fit() {
+        let err = parse("record s { a: u32:300 }").expect_err("width 300");
+        assert!(err.message.contains("bit-field width 300"), "{err}");
+        assert!(parse("record s { a: u32:-1 }").is_err());
+        let p = parse("record s { a: u32:255 }").expect("fits in the syntax");
+        assert_eq!(
+            p.types.record(crate::RecordId(0)).fields[0].bit_width,
+            Some(255)
+        );
     }
 
     #[test]

@@ -12,6 +12,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Primitive scalar kinds supported by the IR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -192,7 +193,7 @@ impl RecordType {
 }
 
 /// Computed memory layout for a record type.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecordLayout {
     /// Total size in bytes, including tail padding.
     pub size: u64,
@@ -202,16 +203,59 @@ pub struct RecordLayout {
     pub offsets: Vec<u64>,
 }
 
+/// Why a type table has no layout.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LayoutError {
+    /// Records that contain themselves by value, in containment order:
+    /// each contains the next, and the last contains the first.
+    Cycle(Vec<String>),
+    /// A type (in textual form) whose size overflows `u64`.
+    Overflow(String),
+}
+
+impl fmt::Display for LayoutError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LayoutError::Cycle(names) => write!(
+                f,
+                "record `{}` contains itself by value ({} -> {})",
+                names[0],
+                names.join(" -> "),
+                names[0]
+            ),
+            LayoutError::Overflow(ty) => write!(f, "size of `{ty}` overflows u64"),
+        }
+    }
+}
+
+impl std::error::Error for LayoutError {}
+
+/// Size and alignment of every type (by [`TypeId`]) and the layout of
+/// every record (by [`RecordId`]).
+#[derive(Debug, Clone)]
+struct Layouts {
+    types: Vec<(u64, u64)>,
+    records: Vec<RecordLayout>,
+}
+
 /// Interning table for all types of a program.
 ///
 /// All IR entities reference types through [`TypeId`]; structural types
 /// (scalars, pointers, arrays) are deduplicated, records are nominal.
+///
+/// Sizes, alignments and record layouts are computed together on the
+/// first query after a change and answered from that table until the
+/// next change. A query on a table that fails
+/// [`TypeTable::check_layout`] panics; the verifier reports the failure.
 #[derive(Debug, Clone, Default)]
 pub struct TypeTable {
     types: Vec<Type>,
     records: Vec<RecordType>,
     interned: HashMap<Type, TypeId>,
     record_by_name: HashMap<String, RecordId>,
+    /// Reset by every mutator; filled by the first layout query and
+    /// shared by clones.
+    layouts: OnceLock<Arc<Result<Layouts, LayoutError>>>,
 }
 
 impl TypeTable {
@@ -228,6 +272,7 @@ impl TypeTable {
         let id = TypeId(self.types.len() as u32);
         self.interned.insert(ty.clone(), id);
         self.types.push(ty);
+        self.layouts = OnceLock::new();
         id
     }
 
@@ -271,6 +316,7 @@ impl TypeTable {
         let rid = RecordId(self.records.len() as u32);
         self.record_by_name.insert(rec.name.clone(), rid);
         self.records.push(rec);
+        self.layouts = OnceLock::new();
         let tid = self.intern(Type::Record(rid));
         (rid, tid)
     }
@@ -284,6 +330,7 @@ impl TypeTable {
             self.record_by_name.insert(rec.name.clone(), rid);
         }
         self.records[rid.0 as usize] = rec;
+        self.layouts = OnceLock::new();
     }
 
     /// Look up a type by id.
@@ -323,27 +370,15 @@ impl TypeTable {
 
     /// Size of a type in bytes. Pointers are 8 bytes (64-bit target).
     pub fn size_of(&self, id: TypeId) -> u64 {
-        match self.get(id) {
-            Type::Void => 0,
-            Type::Scalar(k) => k.size(),
-            Type::Ptr(_) | Type::FuncPtr => 8,
-            Type::Record(r) => self.layout_of(*r).size,
-            Type::Array(elem, n) => self.size_of(*elem) * n,
-        }
+        self.layouts().types[id.0 as usize].0
     }
 
     /// Alignment of a type in bytes.
     pub fn align_of(&self, id: TypeId) -> u64 {
-        match self.get(id) {
-            Type::Void => 1,
-            Type::Scalar(k) => k.align(),
-            Type::Ptr(_) | Type::FuncPtr => 8,
-            Type::Record(r) => self.layout_of(*r).align,
-            Type::Array(elem, _) => self.align_of(*elem),
-        }
+        self.layouts().types[id.0 as usize].1
     }
 
-    /// Compute the C-like layout of a record.
+    /// The C-like layout of a record.
     ///
     /// Fields are placed in declaration order at their natural alignment;
     /// total size is rounded up to the record alignment. An empty record
@@ -365,41 +400,134 @@ impl TypeTable {
     /// assert_eq!(layout.offsets, vec![0, 8]); // `b` aligned to 8
     /// assert_eq!(layout.size, 16);
     /// ```
-    pub fn layout_of(&self, rid: RecordId) -> RecordLayout {
-        let rec = self.record(rid);
-        let mut offset = 0u64;
-        let mut align = 1u64;
-        let mut offsets = Vec::with_capacity(rec.fields.len());
-        for f in &rec.fields {
-            let fa = self.align_of(f.ty);
-            let fs = self.size_of(f.ty);
-            align = align.max(fa);
-            offset = round_up(offset, fa);
-            offsets.push(offset);
-            offset += fs;
-        }
-        let size = round_up(offset, align);
-        RecordLayout {
-            size,
-            align,
-            offsets,
+    pub fn layout_of(&self, rid: RecordId) -> &RecordLayout {
+        &self.layouts().records[rid.0 as usize]
+    }
+
+    /// Whether every type has a finite layout whose size fits in `u64`.
+    ///
+    /// # Errors
+    ///
+    /// A [`LayoutError`] naming the first record cycle or overflowing
+    /// type found.
+    pub fn check_layout(&self) -> Result<(), LayoutError> {
+        self.layout_table()
+            .as_ref()
+            .map(|_| ())
+            .map_err(Clone::clone)
+    }
+
+    fn layouts(&self) -> &Layouts {
+        match self.layout_table() {
+            Ok(l) => l,
+            Err(e) => panic!("layout query on a type table that fails verification: {e}"),
         }
     }
 
-    /// Whether `id` is (or transitively contains) the record `rid`.
-    /// Used to detect recursive types *by value* (not through pointers).
-    pub fn contains_record(&self, id: TypeId, rid: RecordId) -> bool {
+    fn layout_table(&self) -> &Result<Layouts, LayoutError> {
+        self.layouts
+            .get_or_init(|| Arc::new(self.compute_layouts()))
+    }
+
+    /// The `i`-th type stored by value inside `id`: a record's field
+    /// types in order, or an array's element type.
+    fn value_child(&self, id: TypeId, i: usize) -> Option<TypeId> {
         match self.get(id) {
-            Type::Record(r) => {
-                if *r == rid {
-                    return true;
-                }
-                let rec = self.record(*r);
-                rec.fields.iter().any(|f| self.contains_record(f.ty, rid))
-            }
-            Type::Array(elem, _) => self.contains_record(*elem, rid),
-            _ => false,
+            Type::Record(r) => self.record(*r).fields.get(i).map(|f| f.ty),
+            Type::Array(elem, _) => (i == 0).then_some(*elem),
+            _ => None,
         }
+    }
+
+    /// Size and alignment of every type and the layout of every record,
+    /// each computed once after everything it stores by value
+    /// (a depth-first post-order with an explicit stack).
+    fn compute_layouts(&self) -> Result<Layouts, LayoutError> {
+        #[derive(Clone, Copy, PartialEq)]
+        enum Mark {
+            New,
+            Open,
+            Done,
+        }
+        let n = self.types.len();
+        let mut types = vec![(0u64, 1u64); n];
+        let mut records = vec![RecordLayout::default(); self.records.len()];
+        let mut mark = vec![Mark::New; n];
+        // (type, index of its next by-value child to visit)
+        let mut stack: Vec<(TypeId, usize)> = Vec::new();
+        for root in 0..n {
+            if mark[root] != Mark::New {
+                continue;
+            }
+            mark[root] = Mark::Open;
+            stack.push((TypeId(root as u32), 0));
+            while let Some(top) = stack.last_mut() {
+                let (id, next) = *top;
+                if let Some(child) = self.value_child(id, next) {
+                    top.1 += 1;
+                    match mark[child.0 as usize] {
+                        Mark::Done => {}
+                        Mark::New => {
+                            mark[child.0 as usize] = Mark::Open;
+                            stack.push((child, 0));
+                        }
+                        Mark::Open => {
+                            let from = stack.iter().position(|&(t, _)| t == child).unwrap_or(0);
+                            return Err(LayoutError::Cycle(
+                                stack[from..]
+                                    .iter()
+                                    .filter_map(|&(t, _)| match self.get(t) {
+                                        Type::Record(r) => Some(self.record(*r).name.clone()),
+                                        _ => None,
+                                    })
+                                    .collect(),
+                            ));
+                        }
+                    }
+                    continue;
+                }
+                stack.pop();
+                mark[id.0 as usize] = Mark::Done;
+                let overflow = || LayoutError::Overflow(self.display(id));
+                types[id.0 as usize] = match self.get(id) {
+                    Type::Void => (0, 1),
+                    Type::Scalar(k) => (k.size(), k.align()),
+                    Type::Ptr(_) | Type::FuncPtr => (8, 8),
+                    Type::Array(elem, len) => {
+                        let (es, ea) = types[elem.0 as usize];
+                        (es.checked_mul(*len).ok_or_else(overflow)?, ea)
+                    }
+                    Type::Record(r) => {
+                        let l = self.place_fields(*r, &types).ok_or_else(overflow)?;
+                        let sa = (l.size, l.align);
+                        records[r.0 as usize] = l;
+                        sa
+                    }
+                };
+            }
+        }
+        Ok(Layouts { types, records })
+    }
+
+    /// Lay out record `rid` from the `(size, align)` of its field types;
+    /// `None` if an offset or the size overflows `u64`.
+    fn place_fields(&self, rid: RecordId, types: &[(u64, u64)]) -> Option<RecordLayout> {
+        let fields = &self.record(rid).fields;
+        let mut offset = 0u64;
+        let mut max_align = 1u64;
+        let mut offsets = Vec::with_capacity(fields.len());
+        for f in fields {
+            let (fs, fa) = types[f.ty.0 as usize];
+            max_align = max_align.max(fa);
+            offset = round_up(offset, fa)?;
+            offsets.push(offset);
+            offset = offset.checked_add(fs)?;
+        }
+        Some(RecordLayout {
+            size: round_up(offset, max_align)?,
+            align: max_align,
+            offsets,
+        })
     }
 
     /// Whether record `rid` has a pointer field that points (possibly through
@@ -425,11 +553,20 @@ impl TypeTable {
 
     /// Record ids that appear *by value* inside another record or array —
     /// the paper's NEST condition.
+    ///
+    /// A record nested at any depth is a direct by-value field (arrays
+    /// peeled) of some record, so one pass over all fields finds them all.
     pub fn nested_records(&self) -> Vec<RecordId> {
         let mut nested = vec![false; self.records.len()];
-        for rid in self.record_ids() {
-            for f in &self.record(rid).fields {
-                self.collect_value_records(f.ty, &mut nested);
+        for rec in &self.records {
+            for f in &rec.fields {
+                let mut ty = f.ty;
+                while let Type::Array(elem, _) = self.get(ty) {
+                    ty = *elem;
+                }
+                if let Type::Record(r) = self.get(ty) {
+                    nested[r.0 as usize] = true;
+                }
             }
         }
         nested
@@ -437,19 +574,6 @@ impl TypeTable {
             .enumerate()
             .filter_map(|(i, &n)| n.then_some(RecordId(i as u32)))
             .collect()
-    }
-
-    fn collect_value_records(&self, id: TypeId, out: &mut [bool]) {
-        match self.get(id) {
-            Type::Record(r) => {
-                out[r.0 as usize] = true;
-                for f in &self.record(*r).fields.clone() {
-                    self.collect_value_records(f.ty, out);
-                }
-            }
-            Type::Array(elem, _) => self.collect_value_records(*elem, out),
-            _ => {}
-        }
     }
 
     /// Pretty-print a type.
@@ -491,73 +615,10 @@ impl TypeTable {
     }
 }
 
-/// Round `v` up to the next multiple of `align` (which must be a power of
-/// two or any positive integer; we use the generic formula).
-pub fn round_up(v: u64, align: u64) -> u64 {
-    debug_assert!(align > 0);
-    v.div_ceil(align) * align
-}
-
-/// Precomputed size/align/layout tables for every type in a
-/// [`TypeTable`].
-///
-/// [`TypeTable::layout_of`] and [`TypeTable::size_of`] recompute the
-/// full (recursive) layout on every call, which is fine for analyses
-/// that ask a handful of times but far too slow for an interpreter
-/// asking on every `fieldaddr`/`indexaddr`. A `LayoutCache` is built
-/// once per program snapshot and answers all layout queries with a
-/// plain array index.
-///
-/// The cache is a snapshot: if records are replaced afterwards
-/// (e.g. by a layout transformation), build a new cache.
-#[derive(Debug, Clone)]
-pub struct LayoutCache {
-    type_sizes: Vec<u64>,
-    type_aligns: Vec<u64>,
-    layouts: Vec<RecordLayout>,
-}
-
-impl LayoutCache {
-    /// Precompute sizes, alignments, and record layouts for every type
-    /// currently interned in `table`.
-    pub fn new(table: &TypeTable) -> Self {
-        let layouts: Vec<RecordLayout> = table.record_ids().map(|r| table.layout_of(r)).collect();
-        let mut type_sizes = Vec::with_capacity(table.num_types());
-        let mut type_aligns = Vec::with_capacity(table.num_types());
-        for i in 0..table.num_types() as u32 {
-            type_sizes.push(table.size_of(TypeId(i)));
-            type_aligns.push(table.align_of(TypeId(i)));
-        }
-        LayoutCache {
-            type_sizes,
-            type_aligns,
-            layouts,
-        }
-    }
-
-    /// Size of `id` in bytes (O(1)).
-    #[inline]
-    pub fn size_of(&self, id: TypeId) -> u64 {
-        self.type_sizes[id.0 as usize]
-    }
-
-    /// Alignment of `id` in bytes (O(1)).
-    #[inline]
-    pub fn align_of(&self, id: TypeId) -> u64 {
-        self.type_aligns[id.0 as usize]
-    }
-
-    /// The precomputed layout of record `rid` (O(1)).
-    #[inline]
-    pub fn layout(&self, rid: RecordId) -> &RecordLayout {
-        &self.layouts[rid.0 as usize]
-    }
-
-    /// Byte offset of field `field` in record `rid` (O(1)).
-    #[inline]
-    pub fn field_offset(&self, rid: RecordId, field: u32) -> u64 {
-        self.layouts[rid.0 as usize].offsets[field as usize]
-    }
+/// Round `v` up to the next multiple of `align` (positive); `None` on
+/// overflow.
+fn round_up(v: u64, align: u64) -> Option<u64> {
+    v.div_ceil(align).checked_mul(align)
 }
 
 #[cfg(test)]
@@ -679,7 +740,6 @@ mod tests {
         assert_eq!(l.size, 12);
         let nested = t.nested_records();
         assert_eq!(nested, vec![inner]);
-        assert!(t.contains_record(inner_ty, inner));
         assert!(!t.is_recursive(outer));
     }
 
@@ -702,8 +762,9 @@ mod tests {
             },
         );
         assert!(t.is_recursive(rid));
-        // A pointer field does not make the type "nested".
+        // A pointer field does not make the type "nested", nor a cycle.
         assert!(t.nested_records().is_empty());
+        assert_eq!(t.layout_of(rid).size, 16);
     }
 
     #[test]
@@ -780,46 +841,145 @@ mod tests {
 
     #[test]
     fn round_up_works() {
-        assert_eq!(round_up(0, 8), 0);
-        assert_eq!(round_up(1, 8), 8);
-        assert_eq!(round_up(8, 8), 8);
-        assert_eq!(round_up(9, 4), 12);
+        assert_eq!(round_up(0, 8), Some(0));
+        assert_eq!(round_up(1, 8), Some(8));
+        assert_eq!(round_up(8, 8), Some(8));
+        assert_eq!(round_up(9, 4), Some(12));
+        assert_eq!(round_up(u64::MAX - 2, 8), None);
+    }
+
+    /// Declare records `names` empty, then give each the fields
+    /// `f(table, type ids of all declared records)`.
+    fn records(
+        names: &[&str],
+        f: impl Fn(&mut TypeTable, &[TypeId]) -> Vec<Vec<Field>>,
+    ) -> TypeTable {
+        let mut t = table();
+        let mut ids = Vec::new();
+        for n in names {
+            ids.push(t.add_record(RecordType {
+                name: (*n).into(),
+                fields: vec![],
+            }));
+        }
+        let tys: Vec<TypeId> = ids.iter().map(|&(_, ty)| ty).collect();
+        for (&(rid, _), fields) in ids.iter().zip(f(&mut t, &tys)) {
+            let name = t.record(rid).name.clone();
+            t.replace_record(rid, RecordType { name, fields });
+        }
+        t
     }
 
     #[test]
-    fn layout_cache_matches_direct_computation() {
+    fn by_value_cycles_are_layout_errors() {
+        let self_cycle = records(&["p"], |_, ty| vec![vec![Field::new("x", ty[0])]]);
+        assert_eq!(
+            self_cycle.check_layout(),
+            Err(LayoutError::Cycle(vec!["p".into()]))
+        );
+        let two = records(&["p", "q"], |_, ty| {
+            vec![vec![Field::new("x", ty[1])], vec![Field::new("y", ty[0])]]
+        });
+        let err = two.check_layout().unwrap_err();
+        assert_eq!(err, LayoutError::Cycle(vec!["p".into(), "q".into()]));
+        assert_eq!(
+            err.to_string(),
+            "record `p` contains itself by value (p -> q -> p)"
+        );
+        for len in [2, 0] {
+            let through_array = records(&["p"], |t, ty| {
+                vec![vec![Field::new("x", t.array(ty[0], len))]]
+            });
+            assert_eq!(
+                through_array.check_layout(),
+                Err(LayoutError::Cycle(vec!["p".into()])),
+                "[p; {len}]"
+            );
+        }
+    }
+
+    #[test]
+    fn size_overflow_is_a_layout_error() {
+        let mut t = table();
+        let i64t = t.scalar(ScalarKind::I64);
+        t.array(i64t, 1 << 62);
+        assert_eq!(
+            t.check_layout(),
+            Err(LayoutError::Overflow("[i64; 4611686018427387904]".into()))
+        );
+        let mut t = table();
+        let u8t = t.scalar(ScalarKind::U8);
+        let max = t.array(u8t, u64::MAX);
+        assert_eq!(t.size_of(max), u64::MAX);
+        // a field after it, or tail padding, overflows the record
+        let i16t = t.scalar(ScalarKind::I16);
+        t.add_record(RecordType {
+            name: "s".into(),
+            fields: vec![Field::new("a", max), Field::new("b", i16t)],
+        });
+        assert_eq!(t.check_layout(), Err(LayoutError::Overflow("s".into())));
+    }
+
+    #[test]
+    #[should_panic(expected = "layout query on a type table that fails verification")]
+    fn layout_query_on_a_cyclic_table_panics() {
+        let t = records(&["p"], |_, ty| vec![vec![Field::new("x", ty[0])]]);
+        let _ = t.layout_of(RecordId(0));
+    }
+
+    #[test]
+    fn mutations_reset_the_layout_table() {
         let mut t = table();
         let i32t = t.scalar(ScalarKind::I32);
-        let f64t = t.scalar(ScalarKind::F64);
-        let (inner, inner_ty) = t.add_record(RecordType {
-            name: "inner".into(),
-            fields: vec![Field::new("x", i32t), Field::new("y", f64t)],
+        let (rid, rty) = t.add_record(RecordType {
+            name: "r".into(),
+            fields: vec![Field::new("a", i32t)],
         });
-        let arr = t.array(inner_ty, 3);
-        let (outer, _) = t.add_record(RecordType {
-            name: "outer".into(),
-            fields: vec![Field::new("a", arr), Field::new("b", i32t)],
-        });
-        let p = t.ptr(inner_ty);
-        let cache = LayoutCache::new(&t);
-        for id in [i32t, f64t, inner_ty, arr, p] {
-            assert_eq!(
-                cache.size_of(id),
-                t.size_of(id),
-                "size of {}",
-                t.display(id)
-            );
-            assert_eq!(
-                cache.align_of(id),
-                t.align_of(id),
-                "align of {}",
-                t.display(id)
-            );
+        assert_eq!(t.layout_of(rid).size, 4);
+        let snapshot = t.clone();
+        let i64t = t.scalar(ScalarKind::I64);
+        t.replace_record(
+            rid,
+            RecordType {
+                name: "r".into(),
+                fields: vec![Field::new("a", i32t), Field::new("b", i64t)],
+            },
+        );
+        assert_eq!(t.layout_of(rid).size, 16);
+        assert_eq!(snapshot.layout_of(rid).size, 4);
+        let arr = t.array(rty, 3);
+        assert_eq!(t.size_of(arr), 48);
+    }
+
+    #[test]
+    fn deep_by_value_chain_lays_out_in_linear_time() {
+        // r0 { a: i64 }, rK { a: r(K-1), b: i64 }: any pass that
+        // re-walks nested records is superlinear on this chain
+        const DEPTH: usize = 10_000;
+        let mut t = table();
+        let i64t = t.scalar(ScalarKind::I64);
+        let mut prev = t
+            .add_record(RecordType {
+                name: "r0".into(),
+                fields: vec![Field::new("a", i64t)],
+            })
+            .1;
+        let mut rids = Vec::new();
+        for k in 1..DEPTH {
+            let (rid, rty) = t.add_record(RecordType {
+                name: format!("r{k}"),
+                fields: vec![Field::new("a", prev), Field::new("b", i64t)],
+            });
+            rids.push(rid);
+            prev = rty;
         }
-        for rid in [inner, outer] {
-            assert_eq!(*cache.layout(rid), t.layout_of(rid));
-        }
-        assert_eq!(cache.field_offset(outer, 1), t.layout_of(outer).offsets[1]);
+        assert_eq!(t.check_layout(), Ok(()));
+        assert_eq!(t.size_of(prev), 8 * DEPTH as u64);
+        assert_eq!(t.nested_records().len(), DEPTH - 1);
+        assert_eq!(
+            t.layout_of(rids[DEPTH - 2]).offsets,
+            vec![0, 8 * (DEPTH as u64 - 1)]
+        );
     }
 
     #[test]

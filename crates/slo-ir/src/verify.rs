@@ -1,8 +1,12 @@
 //! IR well-formedness verifier.
 //!
 //! The verifier checks the structural invariants the analyses and the VM
-//! rely on. It is run by tests after every transformation to catch rewriting
-//! bugs early.
+//! rely on: every type has a finite layout that fits in `u64` (no record
+//! contains itself by value), bit-fields are integer scalars no wider than
+//! their type, and each function's registers, targets, callees and type
+//! references are in range. Every front end runs it before anything else
+//! reads the program, and tests run it after every transformation to catch
+//! rewriting bugs early.
 
 use crate::instr::{FuncId, Instr, Operand, Reg};
 use crate::module::Program;
@@ -32,6 +36,37 @@ impl std::error::Error for VerifyError {}
 /// Verify a whole program. Returns all problems found (empty = valid).
 pub fn verify(p: &Program) -> Vec<VerifyError> {
     let mut errs = Vec::new();
+    let mut push_type_err = |message: String| {
+        errs.push(VerifyError {
+            func: None,
+            message,
+        })
+    };
+    if let Err(e) = p.types.check_layout() {
+        push_type_err(e.to_string());
+    }
+    for rid in p.types.record_ids() {
+        let rec = p.types.record(rid);
+        for f in &rec.fields {
+            let Some(width) = f.bit_width else { continue };
+            let ty = p.types.display(f.ty);
+            match p.types.get(f.ty) {
+                Type::Scalar(k) if !k.is_float() => {
+                    let bits = 8 * k.size();
+                    if !(1..=bits).contains(&u64::from(width)) {
+                        push_type_err(format!(
+                            "bit-field `{}.{}` has width {width}, outside 1..={bits} for {ty}",
+                            rec.name, f.name
+                        ));
+                    }
+                }
+                _ => push_type_err(format!(
+                    "bit-field `{}.{}` has type {ty}, not an integer scalar",
+                    rec.name, f.name
+                )),
+            }
+        }
+    }
 
     for fid in p.func_ids() {
         let f = p.func(fid);
@@ -542,5 +577,52 @@ mod tests {
         });
         let errs = verify(&p);
         assert!(errs.iter().any(|e| e.message.contains("unknown type")));
+    }
+
+    fn verify_src(src: &str) -> Vec<String> {
+        let p = crate::parser::parse(src).expect("parses");
+        verify(&p).into_iter().map(|e| e.message).collect()
+    }
+
+    const MAIN: &str = "func main() -> i64 {\nbb0:\n  ret 0\n}\n";
+
+    #[test]
+    fn layout_errors_are_verify_errors() {
+        for (types, msg) in [
+            (
+                "record p { x: q }\nrecord q { y: p }",
+                "record `p` contains itself by value (p -> q -> p)",
+            ),
+            (
+                "record s { a: [i64; 4611686018427387904] }",
+                "size of `[i64; 4611686018427387904]` overflows u64",
+            ),
+        ] {
+            assert_eq!(
+                verify_src(&format!("{types}\n{MAIN}")),
+                vec![msg.to_string()]
+            );
+        }
+    }
+
+    #[test]
+    fn bit_field_width_and_type_checked() {
+        for (field, ok) in [
+            ("u32:1", true),
+            ("u32:32", true),
+            ("i64:64", true),
+            ("u8:8", true),
+            ("i64:0", false),
+            ("u8:9", false),
+            ("u32:33", false),
+            ("f64:3", false),
+            ("ptr<i64>:3", false),
+        ] {
+            let errs = verify_src(&format!("record s {{ a: {field} }}\n{MAIN}"));
+            assert_eq!(errs.is_empty(), ok, "{field}: {errs:?}");
+            if !ok {
+                assert!(errs[0].contains("bit-field `s.a`"), "{errs:?}");
+            }
+        }
     }
 }

@@ -9,7 +9,7 @@ pub enum JobInput {
     /// Textual IR, parsed (and verified) by the service.
     Source(String),
     /// An already-parsed program.
-    Program(slo_ir::Program),
+    Program(Box<slo_ir::Program>),
 }
 
 /// An owned weighting-scheme request (the borrowing
@@ -146,7 +146,7 @@ impl Job {
     pub fn from_program(id: impl Into<String>, program: slo_ir::Program) -> Job {
         Job {
             id: id.into(),
-            input: JobInput::Program(program),
+            input: JobInput::Program(Box::new(program)),
             scheme: SchemeSpec::default(),
             config: slo::PipelineConfig::default(),
             budget: Budget::default(),

@@ -354,7 +354,7 @@ impl Service {
     fn load_input(&self, input: &JobInput) -> Result<Program, String> {
         let _s = self.trace.span("pipeline", "parse");
         let prog = match input {
-            JobInput::Program(p) => p.clone(),
+            JobInput::Program(p) => (**p).clone(),
             JobInput::Source(src) => {
                 slo_ir::parser::parse(src).map_err(|e| format!("parse: {e}"))?
             }

@@ -289,6 +289,35 @@ fn unparseable_input_fails_fast() {
 }
 
 #[test]
+fn invalid_types_and_oversized_memory_fail_typed_and_the_next_job_runs() {
+    // Neither a record with no finite layout nor a global larger than
+    // the simulated memory may take the worker (or the batch) down.
+    let main = "func main() -> i64 {\nbb0:\n  ret 0\n}\n";
+    let svc = service(1, 64);
+    let outcomes = svc.run_batch(&[
+        Job::from_source("cycle", format!("record p {{ x: p }}\n{main}")),
+        Job::from_source("fine", SAMPLE),
+        Job::from_source("huge", format!("global G: [i64; 1000000000000]\n{main}"))
+            .scheme(SchemeSpec::Pbo),
+        Job::from_source("fine-again", SAMPLE),
+    ]);
+    match &outcomes[0].status {
+        JobStatus::Failed(m) => assert!(
+            m.contains("invalid IR") && m.contains("record `p` contains itself"),
+            "{m}"
+        ),
+        other => panic!("cycle: expected failed, got {}", other.kind()),
+    }
+    match &outcomes[2].status {
+        JobStatus::Failed(m) => assert!(m.contains("simulated memory"), "{m}"),
+        other => panic!("huge: expected failed, got {}", other.kind()),
+    }
+    assert!(matches!(outcomes[1].status, JobStatus::Optimized(_)));
+    assert!(matches!(outcomes[3].status, JobStatus::Optimized(_)));
+    assert_eq!(svc.metrics().failed, 2);
+}
+
+#[test]
 fn lru_cache_evicts_under_pressure() {
     let svc = service(1, 2);
     let progs: Vec<Job> = [16i64, 32, 48]

@@ -26,7 +26,7 @@
 //! workload.
 
 use crate::cache::CacheSim;
-use crate::heap::{Heap, ScalarValue};
+use crate::heap::{Heap, MemError, ScalarValue};
 use crate::interp::{ExecError, ExecOutcome, ExecStats, VmOptions, FNPTR_BASE};
 use crate::profile::Feedback;
 use crate::value::Value;
@@ -332,7 +332,6 @@ pub struct DecodedProgram {
 impl DecodedProgram {
     /// Flatten `prog` into dense instruction streams.
     pub fn new(prog: &Program) -> Self {
-        let layouts = slo_ir::LayoutCache::new(&prog.types);
         let extern_fns = prog
             .funcs
             .iter()
@@ -344,11 +343,7 @@ impl DecodedProgram {
                 }
             })
             .collect();
-        let funcs = prog
-            .funcs
-            .iter()
-            .map(|f| decode_func(prog, &layouts, f))
-            .collect();
+        let funcs = prog.funcs.iter().map(|f| decode_func(prog, f)).collect();
         DecodedProgram { funcs, extern_fns }
     }
 
@@ -370,7 +365,8 @@ fn scalar_kind(prog: &Program, ty: slo_ir::TypeId) -> Option<ScalarKind> {
     }
 }
 
-fn decode_func(prog: &Program, layouts: &slo_ir::LayoutCache, f: &slo_ir::Function) -> DecodedFunc {
+fn decode_func(prog: &Program, f: &slo_ir::Function) -> DecodedFunc {
+    let types = &prog.types;
     if !f.is_defined() {
         return DecodedFunc::external();
     }
@@ -443,7 +439,7 @@ fn decode_func(prog: &Program, layouts: &slo_ir::LayoutCache, f: &slo_ir::Functi
                 } => DInstr::FieldAddr {
                     dst: dst.0,
                     base: *base,
-                    offset: layouts.field_offset(*record, *field),
+                    offset: types.layout_of(*record).offsets[*field as usize],
                 },
                 Instr::IndexAddr {
                     dst,
@@ -454,7 +450,7 @@ fn decode_func(prog: &Program, layouts: &slo_ir::LayoutCache, f: &slo_ir::Functi
                     dst: dst.0,
                     base: *base,
                     index: *index,
-                    elem_size: layouts.size_of(*elem),
+                    elem_size: types.size_of(*elem),
                 },
                 Instr::Load { dst, addr, ty } => match scalar_kind(prog, *ty) {
                     Some(k) if k.is_float() => DInstr::LoadFloat {
@@ -549,7 +545,7 @@ fn decode_func(prog: &Program, layouts: &slo_ir::LayoutCache, f: &slo_ir::Functi
                     zeroed,
                 } => DInstr::Alloc {
                     dst: dst.0,
-                    elem_size: layouts.size_of(*elem),
+                    elem_size: types.size_of(*elem),
                     count: *count,
                     zeroed: *zeroed,
                 },
@@ -562,7 +558,7 @@ fn decode_func(prog: &Program, layouts: &slo_ir::LayoutCache, f: &slo_ir::Functi
                 } => DInstr::Realloc {
                     dst: dst.0,
                     ptr: *ptr,
-                    elem_size: layouts.size_of(*elem),
+                    elem_size: types.size_of(*elem),
                     count: *count,
                 },
                 Instr::Memcpy { dst, src, bytes } => DInstr::Memcpy {
@@ -689,7 +685,7 @@ pub fn run_func_decoded(
     let trace = opts.trace.clone();
     let mut span = trace.span("vm", "vm.run");
     span.arg("engine", "decoded");
-    let mut vm = DecVm::new(prog, dec, opts.clone());
+    let mut vm = DecVm::new(prog, dec, opts.clone())?;
     let exit = vm.call(entry, args)?;
     let (stats, feedback) = vm.into_parts();
     span.arg("instructions", stats.instructions);
@@ -799,12 +795,11 @@ fn operand(regs: &[Value], op: Operand) -> Value {
 }
 
 impl<'p> DecVm<'p> {
-    fn new(prog: &'p Program, dec: &'p DecodedProgram, opts: VmOptions) -> Self {
+    fn new(prog: &'p Program, dec: &'p DecodedProgram, opts: VmOptions) -> Result<Self, MemError> {
         let mut heap = Heap::new();
         let mut global_addr = Vec::with_capacity(prog.globals.len());
         for g in &prog.globals {
-            let sz = prog.types.size_of(g.ty).max(1);
-            global_addr.push(heap.reserve_static(sz));
+            global_addr.push(heap.reserve_static(prog.types.size_of(g.ty))?);
         }
         let cache = CacheSim::new(opts.cache.clone());
         let feedback = Feedback::new(opts.sample_period);
@@ -831,7 +826,7 @@ impl<'p> DecVm<'p> {
         } else {
             Vec::new()
         };
-        DecVm {
+        Ok(DecVm {
             prog,
             dec,
             opts,
@@ -847,7 +842,7 @@ impl<'p> DecVm<'p> {
             entry_counts: vec![0; nfuncs],
             last_instr: None,
             frame_pool: Vec::new(),
-        }
+        })
     }
 
     fn into_parts(mut self) -> (ExecStats, Feedback) {
@@ -1258,8 +1253,9 @@ impl<'p> DecVm<'p> {
                             return Err(ExecError::Injected("heap allocation refused"));
                         }
                         let n = operand(&frame.regs, *count).as_int().max(0) as u64;
-                        let bytes = n * elem_size;
-                        let a = self.heap.alloc(bytes);
+                        let bytes = n.saturating_mul(*elem_size);
+                        self.last_instr = Some((fid, src_at(dec, fid, frame.pc - 1)));
+                        let a = self.heap.alloc(bytes)?;
                         self.stats.cycles += self.opts.cost.alloc_cost;
                         if *zeroed {
                             self.stats.cycles += bytes / 8 * self.opts.cost.zero_per_8bytes;
@@ -1280,7 +1276,7 @@ impl<'p> DecVm<'p> {
                     } => {
                         let a = operand(&frame.regs, *ptr).as_ptr();
                         let n = operand(&frame.regs, *count).as_int().max(0) as u64;
-                        let bytes = n * elem_size;
+                        let bytes = n.saturating_mul(*elem_size);
                         self.last_instr = Some((fid, src_at(dec, fid, frame.pc - 1)));
                         let na = self.heap.realloc(a, bytes)?;
                         self.stats.cycles += self.opts.cost.alloc_cost + bytes / 16;

@@ -28,6 +28,12 @@ pub enum MemError {
         /// The faulting address.
         addr: u64,
     },
+    /// An allocation or global region that would end above
+    /// [`MEMORY_LIMIT`].
+    OutOfMemory {
+        /// The requested size in bytes (`u64::MAX` if it overflowed).
+        bytes: u64,
+    },
 }
 
 impl fmt::Display for MemError {
@@ -38,6 +44,10 @@ impl fmt::Display for MemError {
                 write!(f, "out-of-bounds access of {size} bytes at 0x{addr:x}")
             }
             MemError::InvalidFree { addr } => write!(f, "invalid free of 0x{addr:x}"),
+            MemError::OutOfMemory { bytes } => write!(
+                f,
+                "allocation of {bytes} bytes exceeds the {MEMORY_LIMIT}-byte simulated memory"
+            ),
         }
     }
 }
@@ -46,6 +56,13 @@ impl std::error::Error for MemError {}
 
 const BASE: u64 = 0x1000;
 const ALIGN: u64 = 16;
+
+/// Size of the simulated address space (256 MiB). Allocations are never
+/// reused, so this bounds the sum of all globals and allocations of one
+/// run. The largest bundled run (Table 2's reference inputs) ends its
+/// arena at 9.5 MB, well below the limit; a larger request is refused
+/// rather than attempted on the host.
+pub const MEMORY_LIMIT: u64 = 1 << 28;
 
 /// The simulated heap / address space.
 #[derive(Debug, Clone)]
@@ -79,27 +96,40 @@ impl Heap {
         }
     }
 
-    fn ensure(&mut self, end: u64) {
+    /// Claim `size` (at least 1) bytes at the top of the address space
+    /// and return their base and effective size.
+    fn claim(&mut self, size: u64) -> Result<(u64, u64), MemError> {
+        let addr = self.next;
+        let eff = size.max(1);
+        let end = match addr.checked_add(eff) {
+            Some(end) if end <= MEMORY_LIMIT => end,
+            _ => return Err(MemError::OutOfMemory { bytes: size }),
+        };
+        self.next = end.div_ceil(ALIGN) * ALIGN;
         let need = end as usize;
         if self.mem.len() < need {
-            self.mem.resize(need.next_power_of_two().max(4096), 0);
+            let grown = need.next_power_of_two().clamp(4096, MEMORY_LIMIT as usize);
+            self.mem.resize(grown, 0);
         }
+        self.allocs.insert(addr, eff);
+        Ok((addr, eff))
     }
 
     /// Allocate `size` bytes; returns the base address (16-byte aligned).
     /// Zero-size allocations return a unique non-null address.
-    pub fn alloc(&mut self, size: u64) -> u64 {
-        let addr = self.next;
-        let eff = size.max(1);
-        self.next = (addr + eff).div_ceil(ALIGN) * ALIGN;
-        self.ensure(addr + eff);
+    ///
+    /// # Errors
+    ///
+    /// [`MemError::OutOfMemory`] if the allocation would end above
+    /// [`MEMORY_LIMIT`].
+    pub fn alloc(&mut self, size: u64) -> Result<u64, MemError> {
         // fresh memory is zeroed (the arena starts zeroed); callers that
         // model `malloc` cost vs `calloc` cost do so in the cost model.
-        self.allocs.insert(addr, eff);
+        let (addr, eff) = self.claim(size)?;
         self.total_allocated += eff;
         self.live_bytes += eff;
         self.peak_live = self.peak_live.max(self.live_bytes);
-        addr
+        Ok(addr)
     }
 
     /// Free an allocation.
@@ -125,16 +155,17 @@ impl Heap {
     ///
     /// # Errors
     ///
-    /// [`MemError::InvalidFree`] if `addr` is non-null and not a live base.
+    /// [`MemError::InvalidFree`] if `addr` is non-null and not a live base;
+    /// [`MemError::OutOfMemory`] as for [`Heap::alloc`].
     pub fn realloc(&mut self, addr: u64, new_size: u64) -> Result<u64, MemError> {
         if addr == 0 {
-            return Ok(self.alloc(new_size));
+            return self.alloc(new_size);
         }
         let old = *self
             .allocs
             .get(&addr)
             .ok_or(MemError::InvalidFree { addr })?;
-        let naddr = self.alloc(new_size);
+        let naddr = self.alloc(new_size)?;
         let n = old.min(new_size) as usize;
         let (a, na) = (addr as usize, naddr as usize);
         self.mem.copy_within(a..a + n, na);
@@ -144,12 +175,12 @@ impl Heap {
 
     /// Reserve a region at the bottom of the address space for globals
     /// (called once at program start, before any `alloc`).
-    pub fn reserve_static(&mut self, size: u64) -> u64 {
-        let addr = self.next;
-        self.next = (addr + size.max(1)).div_ceil(ALIGN) * ALIGN;
-        self.ensure(addr + size.max(1));
-        self.allocs.insert(addr, size.max(1));
-        addr
+    ///
+    /// # Errors
+    ///
+    /// [`MemError::OutOfMemory`] as for [`Heap::alloc`].
+    pub fn reserve_static(&mut self, size: u64) -> Result<u64, MemError> {
+        Ok(self.claim(size)?.0)
     }
 
     fn check(&self, addr: u64, size: u64) -> Result<(), MemError> {
@@ -309,8 +340,8 @@ mod tests {
     #[test]
     fn alloc_returns_aligned_nonnull() {
         let mut h = Heap::new();
-        let a = h.alloc(10);
-        let b = h.alloc(1);
+        let a = h.alloc(10).expect("alloc");
+        let b = h.alloc(1).expect("alloc");
         assert_ne!(a, 0);
         assert_eq!(a % 16, 0);
         assert_eq!(b % 16, 0);
@@ -321,7 +352,7 @@ mod tests {
     #[test]
     fn rw_roundtrip_all_scalars() {
         let mut h = Heap::new();
-        let a = h.alloc(64);
+        let a = h.alloc(64).expect("alloc");
         for (k, v) in [
             (ScalarKind::I8, ScalarValue::Int(-5)),
             (ScalarKind::I16, ScalarValue::Int(-300)),
@@ -348,7 +379,7 @@ mod tests {
     #[test]
     fn oob_detected() {
         let mut h = Heap::new();
-        let a = h.alloc(8);
+        let a = h.alloc(8).expect("alloc");
         let far = (a + 1) << 30;
         assert!(matches!(
             h.read_bytes(far, 8),
@@ -359,7 +390,7 @@ mod tests {
     #[test]
     fn oob_near_address_space_end_does_not_wrap() {
         let mut h = Heap::new();
-        let a = h.alloc(64);
+        let a = h.alloc(64).expect("alloc");
         let top = u64::MAX - 3;
         assert_eq!(
             h.read_bytes(top, 8),
@@ -378,7 +409,7 @@ mod tests {
     #[test]
     fn free_and_invalid_free() {
         let mut h = Heap::new();
-        let a = h.alloc(32);
+        let a = h.alloc(32).expect("alloc");
         assert_eq!(h.live_bytes(), 32);
         h.free(a).expect("free ok");
         assert_eq!(h.live_bytes(), 0);
@@ -389,7 +420,7 @@ mod tests {
     #[test]
     fn realloc_preserves_prefix() {
         let mut h = Heap::new();
-        let a = h.alloc(16);
+        let a = h.alloc(16).expect("alloc");
         h.write_bytes(a, 8, 0xdeadbeef).expect("write");
         let b = h.realloc(a, 64).expect("realloc");
         assert_eq!(h.read_bytes(b, 8).expect("read"), 0xdeadbeef);
@@ -407,8 +438,8 @@ mod tests {
     #[test]
     fn memcpy_memset() {
         let mut h = Heap::new();
-        let a = h.alloc(32);
-        let b = h.alloc(32);
+        let a = h.alloc(32).expect("alloc");
+        let b = h.alloc(32).expect("alloc");
         h.memset(a, 0xab, 16).expect("memset");
         h.memcpy(b, a, 16).expect("memcpy");
         assert_eq!(h.read_bytes(b, 1).expect("read"), 0xab);
@@ -419,10 +450,10 @@ mod tests {
     #[test]
     fn stats_track_peak() {
         let mut h = Heap::new();
-        let a = h.alloc(100);
-        let _b = h.alloc(50);
+        let a = h.alloc(100).expect("alloc");
+        let _b = h.alloc(50).expect("alloc");
         h.free(a).expect("free");
-        let _c = h.alloc(10);
+        let _c = h.alloc(10).expect("alloc");
         assert_eq!(h.total_allocated(), 160);
         assert_eq!(h.peak_live(), 150);
         assert_eq!(h.live_bytes(), 60);
@@ -431,8 +462,8 @@ mod tests {
     #[test]
     fn static_region_below_heap() {
         let mut h = Heap::new();
-        let g = h.reserve_static(64);
-        let a = h.alloc(8);
+        let g = h.reserve_static(64).expect("reserve");
+        let a = h.alloc(8).expect("alloc");
         assert!(g < a);
         h.write_bytes(g, 8, 7).expect("write global");
         assert_eq!(h.read_bytes(g, 8).expect("read"), 7);
@@ -441,9 +472,27 @@ mod tests {
     #[test]
     fn zero_size_alloc_unique() {
         let mut h = Heap::new();
-        let a = h.alloc(0);
-        let b = h.alloc(0);
+        let a = h.alloc(0).expect("alloc");
+        let b = h.alloc(0).expect("alloc");
         assert_ne!(a, b);
         assert_ne!(a, 0);
+    }
+
+    #[test]
+    fn allocations_past_the_memory_limit_are_refused() {
+        let mut h = Heap::new();
+        let a = h.alloc(64).expect("alloc");
+        for bytes in [MEMORY_LIMIT, 8 << 40, u64::MAX] {
+            assert_eq!(h.alloc(bytes), Err(MemError::OutOfMemory { bytes }));
+            assert_eq!(h.realloc(a, bytes), Err(MemError::OutOfMemory { bytes }));
+        }
+        assert_eq!(
+            Heap::new().reserve_static(8 << 40),
+            Err(MemError::OutOfMemory { bytes: 8 << 40 })
+        );
+        // the refusals changed nothing
+        assert_eq!(h.live_allocs(), 1);
+        assert_eq!(h.total_allocated(), 64);
+        assert!(h.alloc(1 << 20).is_ok());
     }
 }

@@ -357,7 +357,7 @@ pub fn run_func(
             let trace = opts.trace.clone();
             let mut span = trace.span("vm", "vm.run");
             span.arg("engine", "structured");
-            let mut vm = Vm::new(prog, opts.clone());
+            let mut vm = Vm::new(prog, opts.clone())?;
             let exit = vm.call(entry, args)?;
             let (stats, feedback) = vm.into_parts();
             span.arg("instructions", stats.instructions);
@@ -404,16 +404,15 @@ struct Vm<'p> {
 }
 
 impl<'p> Vm<'p> {
-    fn new(prog: &'p Program, opts: VmOptions) -> Self {
+    fn new(prog: &'p Program, opts: VmOptions) -> Result<Self, MemError> {
         let mut heap = Heap::new();
         let mut global_addr = Vec::with_capacity(prog.globals.len());
         for g in &prog.globals {
-            let sz = prog.types.size_of(g.ty).max(1);
-            global_addr.push(heap.reserve_static(sz));
+            global_addr.push(heap.reserve_static(prog.types.size_of(g.ty))?);
         }
         let cache = CacheSim::new(opts.cache.clone());
         let feedback = Feedback::new(opts.sample_period);
-        Vm {
+        Ok(Vm {
             prog,
             opts,
             heap,
@@ -426,7 +425,7 @@ impl<'p> Vm<'p> {
             stride_hist: std::collections::HashMap::new(),
             last_instr: None,
             frame_pool: Vec::new(),
-        }
+        })
     }
 
     fn into_parts(mut self) -> (ExecStats, Feedback) {
@@ -704,8 +703,8 @@ impl<'p> Vm<'p> {
                             return Err(ExecError::Injected("heap allocation refused"));
                         }
                         let n = self.operand(frame, *count).as_int().max(0) as u64;
-                        let bytes = n * self.prog.types.size_of(*elem);
-                        let a = self.heap.alloc(bytes);
+                        let bytes = n.saturating_mul(self.prog.types.size_of(*elem));
+                        let a = self.heap.alloc(bytes)?;
                         self.stats.cycles += self.opts.cost.alloc_cost;
                         if *zeroed {
                             self.stats.cycles += bytes / 8 * self.opts.cost.zero_per_8bytes;
@@ -725,7 +724,7 @@ impl<'p> Vm<'p> {
                     } => {
                         let a = self.operand(frame, *ptr).as_ptr();
                         let n = self.operand(frame, *count).as_int().max(0) as u64;
-                        let bytes = n * self.prog.types.size_of(*elem);
+                        let bytes = n.saturating_mul(self.prog.types.size_of(*elem));
                         let na = self.heap.realloc(a, bytes)?;
                         self.stats.cycles += self.opts.cost.alloc_cost + bytes / 16;
                         frame.regs[dst.0 as usize] = Value::Ptr(na);

@@ -563,6 +563,27 @@ bb3:
     }
 
     #[test]
+    fn deep_by_value_chain_compiles_and_runs() {
+        // r0 { a: i64 }, rK { a: r(K-1), b: i64 }: any pass that
+        // re-walks nested records is superlinear on this chain
+        const DEPTH: usize = 10_000;
+        let mut src = String::from("record r0 { a: i64 }\n");
+        for k in 1..DEPTH {
+            src.push_str(&format!("record r{k} {{ a: r{}, b: i64 }}\n", k - 1));
+        }
+        src.push_str(&format!(
+            "func main() -> i64 {{\nbb0:\n  r0 = alloc r{}, 1\n  ret 0\n}}\n",
+            DEPTH - 1
+        ));
+        let p = parse(&src).expect("parse");
+        assert_valid(&p);
+        let res = compile(&p, &WeightScheme::Ispbo, &PipelineConfig::default()).expect("compile");
+        assert_valid(&res.program);
+        let eval = evaluate(&p, &res.program, &slo_vm::VmOptions::default()).expect("evaluate");
+        assert!(eval.baseline_cycles > 0);
+    }
+
+    #[test]
     fn timings_populated() {
         let p = parse(SRC).expect("parse");
         let res = compile(&p, &WeightScheme::Spbo, &PipelineConfig::default()).expect("compile");

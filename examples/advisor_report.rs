@@ -55,11 +55,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  * {advice}");
     }
 
-    // write the VCG control file next to the binary
+    // write the VCG control file to the temp directory
     let vcg = render_vcg(&prog, particle, &graphs[&particle]);
-    std::fs::write("particle.vcg", &vcg)?;
+    let path = std::env::temp_dir().join("particle.vcg");
+    std::fs::write(&path, &vcg)?;
     println!(
-        "\nVCG control file written to particle.vcg ({} bytes)",
+        "\nVCG control file written to {} ({} bytes)",
+        path.display(),
         vcg.len()
     );
     Ok(())

@@ -45,7 +45,7 @@ proptest! {
         for op in ops {
             match op {
                 HeapOp::Alloc(sz) => {
-                    let a = h.alloc(sz);
+                    let a = h.alloc(sz).expect("alloc within the memory limit");
                     prop_assert!(a != 0 && a.is_multiple_of(16));
                     // no overlap with other live allocations
                     for (b, bsz, _) in &live {
