@@ -21,8 +21,8 @@
 
 use slo::analysis::{analyze_program, LegalityConfig, WeightScheme};
 use slo::obs::Recorder;
-use slo::pipeline::{compile_with, evaluate, PipelineConfig};
-use slo::vm::{Feedback, VmOptions};
+use slo::pipeline::{compile_with, evaluate, evaluate_against, PipelineConfig};
+use slo::vm::{ExecOutcome, Feedback, VmOptions};
 use slo::SloError;
 use slo_ir::parser::parse;
 use slo_ir::Program;
@@ -170,25 +170,33 @@ fn load_program(path: &str) -> Result<Program> {
 /// owned feedback the scheme borrows from. The feedback must outlive the
 /// scheme, hence the slightly awkward split.
 fn collect_feedback(prog: &Program, opts: &Opts) -> Result<Option<Feedback>> {
-    collect_feedback_with(prog, opts, &Recorder::disabled())
+    Ok(collect_feedback_with(prog, opts, &Recorder::disabled())?.0)
 }
 
-fn collect_feedback_with(prog: &Program, opts: &Opts, rec: &Recorder) -> Result<Option<Feedback>> {
+/// [`collect_feedback`] with a trace recorder. A profile collected on
+/// the fly comes with its instrumented run, which `--measure` reuses
+/// as the baseline evaluation.
+fn collect_feedback_with(
+    prog: &Program,
+    opts: &Opts,
+    rec: &Recorder,
+) -> Result<(Option<Feedback>, Option<ExecOutcome>)> {
     if !opts.has("profile") {
         // `--scheme pbo` without --profile is rejected later by
         // `scheme_for`; profiles are only collected/loaded on request
-        return Ok(None);
+        return Ok((None, None));
     }
     if let Some(path) = opts.value("profile") {
         let text = std::fs::read_to_string(path)
             .map_err(|e| SloError::Io(format!("cannot read profile `{path}`: {e}")))?;
         let fb = Feedback::from_text(&text)
             .map_err(|e| SloError::Parse(format!("profile `{path}`: {e}")))?;
-        return Ok(Some(fb));
+        return Ok((Some(fb), None));
     }
     // collect on the fly
-    let fb = slo::collect_profile_with(prog, rec)?;
-    Ok(Some(fb))
+    let mut run = slo::profile_run_with(prog, rec)?;
+    let fb = std::mem::take(&mut run.feedback);
+    Ok((Some(fb), Some(run)))
 }
 
 /// The recorder for a command honouring `--trace-json <path>`: enabled
@@ -378,7 +386,7 @@ fn cmd_optimize(args: &[String]) -> Result<String> {
         let _s = rec.span("pipeline", "parse");
         load_program(path)?
     };
-    let feedback = collect_feedback_with(&prog, &opts, &rec)?;
+    let (feedback, profile_run) = collect_feedback_with(&prog, &opts, &rec)?;
     let scheme = scheme_for(&opts, feedback.as_ref())?;
     let res = compile_with(&prog, &scheme, &PipelineConfig::default(), &rec)?;
 
@@ -407,7 +415,10 @@ fn cmd_optimize(args: &[String]) -> Result<String> {
 
     if opts.has("measure") {
         let vm_opts = VmOptions::builder().trace(rec.clone()).build();
-        let eval = evaluate(&prog, &res.program, &vm_opts)?;
+        let eval = match &profile_run {
+            Some(run) => evaluate_against(run, &res.program, &vm_opts)?,
+            None => evaluate(&prog, &res.program, &vm_opts)?,
+        };
         let _ = writeln!(
             s,
             "cycles {} -> {} ({:+.1}%)",

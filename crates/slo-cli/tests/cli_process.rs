@@ -400,6 +400,58 @@ fn serve_legacy_lines_keeps_the_old_format() {
     );
 }
 
+/// `--wire --workers 1` replies to the smoke manifest are pinned byte
+/// for byte by `examples/batch/smoke.wire` (CI diffs the release build
+/// against the same file).
+#[test]
+fn batch_wire_replies_match_the_committed_golden() {
+    let out = slo()
+        .args(["batch"])
+        .arg(smoke_manifest())
+        .args(["--wire", "--workers", "1"])
+        .output()
+        .expect("spawn slo");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let golden =
+        std::fs::read_to_string(smoke_manifest().with_extension("wire")).expect("read smoke.wire");
+    assert_eq!(String::from_utf8_lossy(&out.stdout), golden);
+}
+
+/// `optimize --profile --measure` evaluates against the instrumented
+/// profile run instead of running the input a second time: same
+/// report, one `vm.run` fewer (profile + transformed, no baseline).
+#[test]
+fn optimize_measure_reuses_the_profile_run() {
+    let mut hotcold = sample();
+    hotcold.set_file_name("hotcold.sir");
+    let trace = std::env::temp_dir().join(format!("slo-e2e-measure-{}.json", std::process::id()));
+    let out = slo()
+        .args(["optimize"])
+        .arg(&hotcold)
+        .args(["--profile", "--measure", "--trace-json"])
+        .arg(&trace)
+        .output()
+        .expect("spawn slo");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "scheme PBO -> 1 type(s) transformed\n  \
+         pair                     Split { hot_order: [0], cold: [1, 2], dead: [] }\n\
+         cycles 1243 -> 1716 (-27.6%)\n"
+    );
+    let json = std::fs::read_to_string(&trace).expect("read trace");
+    assert_eq!(json.matches("\"name\":\"vm.run\"").count(), 2, "{json}");
+    let _ = std::fs::remove_file(&trace);
+}
+
 /// `--trace-json` writes a Chrome trace that the binary's own
 /// conformance checker accepts, with every pipeline phase present —
 /// and tracing does not change the compiled output.

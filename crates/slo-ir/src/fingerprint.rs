@@ -1,4 +1,4 @@
-//! Stable content fingerprints for IR programs.
+//! Stable FNV-1a hashing for content keys and checksums.
 //!
 //! The batch-optimization service memoizes analysis results by content
 //! hash (normalized IR + scheme + config). Rust's default hashers are
@@ -9,7 +9,6 @@
 //! (collisions only cost a spurious hit on a table that also stores the
 //! full key for verification).
 
-use crate::Program;
 use std::hash::Hasher;
 
 /// FNV-1a 64-bit offset basis.
@@ -83,47 +82,15 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h.digest()
 }
 
-/// Content hash of a program's *normalized* form.
-///
-/// Normalization is the pretty-printer ([`crate::printer::print_program`]),
-/// which is a parse/print fixpoint: two sources that parse to the same
-/// program (whitespace, ordering of nothing — the printer is canonical)
-/// fingerprint identically, and any semantic difference (a type, a
-/// field, an instruction, a constant) changes the digest.
-pub fn fingerprint_program(p: &Program) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_str(&crate::printer::print_program(p));
-    h.digest()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse;
-
-    const SRC: &str = "record n { a: i64, b: i64 }\nfunc main() -> i64 {\nbb0:\n  ret 0\n}\n";
 
     #[test]
     fn fnv1a_matches_reference_vector() {
         // FNV-1a("a") from the published reference constants.
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-    }
-
-    #[test]
-    fn deterministic_and_text_sensitive() {
-        let a = parse(SRC).expect("parse");
-        let b = parse(SRC).expect("parse");
-        assert_eq!(fingerprint_program(&a), fingerprint_program(&b));
-        let c = parse(&SRC.replace("ret 0", "ret 1")).expect("parse");
-        assert_ne!(fingerprint_program(&a), fingerprint_program(&c));
-    }
-
-    #[test]
-    fn whitespace_insensitive() {
-        let a = parse(SRC).expect("parse");
-        let b = parse(&SRC.replace("  ret", "      ret")).expect("parse");
-        assert_eq!(fingerprint_program(&a), fingerprint_program(&b));
     }
 
     #[test]

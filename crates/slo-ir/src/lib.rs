@@ -66,7 +66,7 @@ pub mod types;
 pub mod verify;
 
 pub use builder::{FuncBuilder, ProgramBuilder};
-pub use fingerprint::{fingerprint_program, fnv1a, Fnv64};
+pub use fingerprint::{fnv1a, Fnv64};
 pub use instr::{BinOp, BlockId, CmpOp, Const, FuncId, GlobalId, Instr, InstrRef, Operand, Reg};
 pub use module::{BasicBlock, FuncKind, Function, GlobalVar, Program, Unit};
 pub use types::{

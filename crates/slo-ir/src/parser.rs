@@ -45,9 +45,11 @@ impl std::error::Error for ParseError {}
 
 type PResult<T> = Result<T, ParseError>;
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
+/// A token. Identifiers borrow from the source text, so lexing and
+/// looking ahead allocate nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tok<'a> {
+    Ident(&'a str),
     Int(i64),
     Float(f64),
     LBrace,
@@ -66,7 +68,7 @@ enum Tok {
     Eof,
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Ident(s) => write!(f, "`{s}`"),
@@ -90,7 +92,7 @@ impl fmt::Display for Tok {
     }
 }
 
-fn lex(src: &str) -> PResult<Vec<(Tok, u32)>> {
+fn lex(src: &str) -> PResult<Vec<(Tok<'_>, u32)>> {
     let mut toks = Vec::new();
     let bytes = src.as_bytes();
     let mut i = 0;
@@ -186,7 +188,7 @@ fn lex(src: &str) -> PResult<Vec<(Tok, u32)>> {
                         break;
                     }
                 }
-                toks.push((Tok::Ident(src[start..i].to_string()), line));
+                toks.push((Tok::Ident(&src[start..i]), line));
             }
             other => {
                 return Err(ParseError {
@@ -200,7 +202,7 @@ fn lex(src: &str) -> PResult<Vec<(Tok, u32)>> {
     Ok(toks)
 }
 
-fn lex_number(src: &str, start: usize, line: u32) -> PResult<(Tok, usize)> {
+fn lex_number(src: &str, start: usize, line: u32) -> PResult<(Tok<'_>, usize)> {
     let bytes = src.as_bytes();
     let mut i = start;
     if bytes[i] == b'-' {
@@ -248,23 +250,23 @@ fn lex_number(src: &str, start: usize, line: u32) -> PResult<(Tok, usize)> {
 /// Deepest nesting of `ptr<…>` and `[…; n]` a type may have.
 const MAX_TYPE_DEPTH: u32 = 256;
 
-struct Parser {
-    toks: Vec<(Tok, u32)>,
+struct Parser<'a> {
+    toks: Vec<(Tok<'a>, u32)>,
     pos: usize,
     prog: Program,
 }
 
-impl Parser {
-    fn peek(&self) -> &Tok {
-        &self.toks[self.pos].0
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Tok<'a> {
+        self.toks[self.pos].0
     }
 
     fn line(&self) -> u32 {
         self.toks[self.pos].1
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos].0.clone();
+    fn bump(&mut self) -> Tok<'a> {
+        let t = self.toks[self.pos].0;
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
@@ -278,8 +280,8 @@ impl Parser {
         })
     }
 
-    fn expect(&mut self, t: Tok) -> PResult<()> {
-        if *self.peek() == t {
+    fn expect(&mut self, t: Tok<'_>) -> PResult<()> {
+        if self.peek() == t {
             self.bump();
             Ok(())
         } else {
@@ -287,7 +289,7 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self) -> PResult<String> {
+    fn ident(&mut self) -> PResult<&'a str> {
         match self.bump() {
             Tok::Ident(s) => Ok(s),
             other => {
@@ -337,7 +339,7 @@ impl Parser {
                 if name == "fnptr" {
                     return Ok(self.prog.types.func_ptr());
                 }
-                if let Some(k) = ScalarKind::from_name(&name) {
+                if let Some(k) = ScalarKind::from_name(name) {
                     return Ok(self.prog.types.scalar(k));
                 }
                 if name == "ptr" {
@@ -346,7 +348,7 @@ impl Parser {
                     self.expect(Tok::RAngle)?;
                     return Ok(self.prog.types.ptr(inner));
                 }
-                match self.prog.types.record_by_name(&name) {
+                match self.prog.types.record_by_name(name) {
                     Some(rid) => Ok(self
                         .prog
                         .types
@@ -394,8 +396,8 @@ impl Parser {
         match self.bump() {
             Tok::Int(v) => Ok(Operand::Const(Const::Int(v))),
             Tok::Float(v) => Ok(Operand::Const(Const::Float(v))),
-            Tok::Ident(s) if s == "null" => Ok(Operand::Const(Const::Null)),
-            Tok::Ident(s) => match Self::reg_of(&s) {
+            Tok::Ident("null") => Ok(Operand::Const(Const::Null)),
+            Tok::Ident(s) => match Self::reg_of(s) {
                 Some(r) => Ok(Operand::Reg(r)),
                 None => {
                     self.pos -= 1;
@@ -411,7 +413,7 @@ impl Parser {
 
     fn parse_block_ref(&mut self) -> PResult<BlockId> {
         let name = self.ident()?;
-        match Self::block_of(&name) {
+        match Self::block_of(name) {
             Some(n) => Ok(BlockId(n)),
             None => self.err(format!("expected block label, found `{name}`")),
         }
@@ -453,50 +455,42 @@ pub fn parse(src: &str) -> PResult<Program> {
     };
 
     // Pass A: register record names (forward references).
-    {
-        let mut i = 0;
-        while i < p.toks.len() {
-            if let (Tok::Ident(s), _) = &p.toks[i] {
-                if s == "record" {
-                    if let (Tok::Ident(name), line) = &p.toks[i + 1] {
-                        if p.prog.types.record_by_name(name).is_some() {
-                            return Err(ParseError {
-                                line: *line,
-                                message: format!("duplicate record `{name}`"),
-                            });
-                        }
-                        p.prog.types.add_record(RecordType {
-                            name: name.clone(),
-                            fields: vec![],
-                        });
-                    }
-                }
+    for pair in p.toks.windows(2) {
+        if let [(Tok::Ident("record"), _), (Tok::Ident(name), line)] = *pair {
+            if p.prog.types.record_by_name(name).is_some() {
+                return Err(ParseError {
+                    line,
+                    message: format!("duplicate record `{name}`"),
+                });
             }
-            i += 1;
+            p.prog.types.add_record(RecordType {
+                name: name.to_string(),
+                fields: vec![],
+            });
         }
     }
 
     // Pass B: records, globals, signatures; remember body spans.
     let mut bodies: Vec<(FuncId, usize)> = Vec::new(); // (func, token pos of '{')
     loop {
-        match p.peek().clone() {
+        match p.peek() {
             Tok::Eof => break,
-            Tok::Ident(kw) if kw == "record" => {
+            Tok::Ident("record") => {
                 p.bump();
                 let name = p.ident()?;
                 let rid = p
                     .prog
                     .types
-                    .record_by_name(&name)
+                    .record_by_name(name)
                     .expect("pre-registered in pass A");
                 p.expect(Tok::LBrace)?;
                 let mut fields = Vec::new();
-                if *p.peek() != Tok::RBrace {
+                if p.peek() != Tok::RBrace {
                     loop {
                         let fname = p.ident()?;
                         p.expect(Tok::Colon)?;
                         let fty = p.parse_type()?;
-                        let bw = if *p.peek() == Tok::Colon {
+                        let bw = if p.peek() == Tok::Colon {
                             p.bump();
                             let w = p.int()?;
                             match u8::try_from(w) {
@@ -509,11 +503,11 @@ pub fn parse(src: &str) -> PResult<Program> {
                             None
                         };
                         fields.push(Field {
-                            name: fname,
+                            name: fname.to_string(),
                             ty: fty,
                             bit_width: bw,
                         });
-                        if *p.peek() == Tok::Comma {
+                        if p.peek() == Tok::Comma {
                             p.bump();
                         } else {
                             break;
@@ -521,22 +515,29 @@ pub fn parse(src: &str) -> PResult<Program> {
                     }
                 }
                 p.expect(Tok::RBrace)?;
-                p.prog
-                    .types
-                    .replace_record(rid, RecordType { name, fields });
+                p.prog.types.replace_record(
+                    rid,
+                    RecordType {
+                        name: name.to_string(),
+                        fields,
+                    },
+                );
             }
-            Tok::Ident(kw) if kw == "global" => {
+            Tok::Ident("global") => {
                 p.bump();
                 let name = p.ident()?;
                 p.expect(Tok::Colon)?;
                 let ty = p.parse_type()?;
-                if p.prog.global_by_name(&name).is_some() {
+                if p.prog.global_by_name(name).is_some() {
                     return p.err(format!("duplicate global `{name}`"));
                 }
-                p.prog.add_global(GlobalVar { name, ty });
+                p.prog.add_global(GlobalVar {
+                    name: name.to_string(),
+                    ty,
+                });
             }
             Tok::Ident(kw) if kw == "extern" || kw == "libc" || kw == "func" => {
-                let kind = match kw.as_str() {
+                let kind = match kw {
                     "extern" => {
                         p.bump();
                         if !p.eat_kw("func") {
@@ -559,10 +560,10 @@ pub fn parse(src: &str) -> PResult<Program> {
                 let name = p.ident()?;
                 p.expect(Tok::LParen)?;
                 let mut params = Vec::new();
-                if *p.peek() != Tok::RParen {
+                if p.peek() != Tok::RParen {
                     loop {
                         params.push(p.parse_type()?);
-                        if *p.peek() == Tok::Comma {
+                        if p.peek() == Tok::Comma {
                             p.bump();
                         } else {
                             break;
@@ -572,7 +573,7 @@ pub fn parse(src: &str) -> PResult<Program> {
                 p.expect(Tok::RParen)?;
                 p.expect(Tok::Arrow)?;
                 let ret = p.parse_type()?;
-                if p.prog.func_by_name(&name).is_some() {
+                if p.prog.func_by_name(name).is_some() {
                     return p.err(format!("duplicate function `{name}`"));
                 }
                 let param_regs: Vec<(Reg, TypeId)> = params
@@ -582,7 +583,7 @@ pub fn parse(src: &str) -> PResult<Program> {
                     .collect();
                 let nparams = param_regs.len() as u32;
                 let fid = p.prog.add_func(Function {
-                    name,
+                    name: name.to_string(),
                     params: param_regs,
                     ret,
                     kind,
@@ -617,14 +618,14 @@ fn parse_body(p: &mut Parser, fid: FuncId) -> PResult<()> {
 
     let mut cur: Option<usize> = None;
     loop {
-        match p.peek().clone() {
+        match p.peek() {
             Tok::RBrace => {
                 p.bump();
                 break;
             }
             Tok::Ident(s) => {
                 // label?
-                if let Some(n) = Parser::block_of(&s) {
+                if let Some(n) = Parser::block_of(s) {
                     if p.toks[p.pos + 1].0 == Tok::Colon {
                         p.bump();
                         p.bump();
@@ -690,15 +691,15 @@ fn parse_instr(p: &mut Parser) -> PResult<Instr> {
     let first = p.ident()?;
 
     // Instructions with a destination: `rN = ...`
-    if let Some(dst) = Parser::reg_of(&first) {
-        if *p.peek() == Tok::Eq {
+    if let Some(dst) = Parser::reg_of(first) {
+        if p.peek() == Tok::Eq {
             p.bump();
             return parse_rhs(p, dst);
         }
         return p.err("expected `=` after register");
     }
 
-    match first.as_str() {
+    match first {
         "store" => {
             let value = p.parse_operand()?;
             p.expect(Tok::Comma)?;
@@ -711,7 +712,7 @@ fn parse_instr(p: &mut Parser) -> PResult<Instr> {
             let value = p.parse_operand()?;
             p.expect(Tok::Comma)?;
             let gname = p.ident()?;
-            let global = p.prog.global_by_name(&gname).ok_or_else(|| ParseError {
+            let global = p.prog.global_by_name(gname).ok_or_else(|| ParseError {
                 line: p.line(),
                 message: format!("unknown global `{gname}`"),
             })?;
@@ -794,18 +795,18 @@ fn parse_instr(p: &mut Parser) -> PResult<Instr> {
 
 fn parse_rhs(p: &mut Parser, dst: Reg) -> PResult<Instr> {
     // plain operand (Assign) or mnemonic
-    match p.peek().clone() {
+    match p.peek() {
         Tok::Int(_) | Tok::Float(_) => {
             let src = p.parse_operand()?;
             Ok(Instr::Assign { dst, src })
         }
         Tok::Ident(name) => {
-            if name == "null" || Parser::reg_of(&name).is_some() {
+            if name == "null" || Parser::reg_of(name).is_some() {
                 let src = p.parse_operand()?;
                 return Ok(Instr::Assign { dst, src });
             }
             p.bump();
-            if let Some(op) = BinOp::from_name(&name) {
+            if let Some(op) = BinOp::from_name(name) {
                 let lhs = p.parse_operand()?;
                 p.expect(Tok::Comma)?;
                 let rhs = p.parse_operand()?;
@@ -821,7 +822,7 @@ fn parse_rhs(p: &mut Parser, dst: Reg) -> PResult<Instr> {
                 let rhs = p.parse_operand()?;
                 return Ok(Instr::Cmp { dst, op, lhs, rhs });
             }
-            match name.as_str() {
+            match name {
                 "cast" => {
                     let src = p.parse_operand()?;
                     p.expect(Tok::Colon)?;
@@ -882,7 +883,7 @@ fn parse_rhs(p: &mut Parser, dst: Reg) -> PResult<Instr> {
                 }
                 "gload" => {
                     let gname = p.ident()?;
-                    let global = p.prog.global_by_name(&gname).ok_or_else(|| ParseError {
+                    let global = p.prog.global_by_name(gname).ok_or_else(|| ParseError {
                         line: p.line(),
                         message: format!("unknown global `{gname}`"),
                     })?;
@@ -890,7 +891,7 @@ fn parse_rhs(p: &mut Parser, dst: Reg) -> PResult<Instr> {
                 }
                 "gaddr" => {
                     let gname = p.ident()?;
-                    let global = p.prog.global_by_name(&gname).ok_or_else(|| ParseError {
+                    let global = p.prog.global_by_name(gname).ok_or_else(|| ParseError {
                         line: p.line(),
                         message: format!("unknown global `{gname}`"),
                     })?;
@@ -939,7 +940,7 @@ fn parse_rhs(p: &mut Parser, dst: Reg) -> PResult<Instr> {
                 }
                 "fnaddr" => {
                     let fname = p.ident()?;
-                    let func = p.prog.func_by_name(&fname).ok_or_else(|| ParseError {
+                    let func = p.prog.func_by_name(fname).ok_or_else(|| ParseError {
                         line: p.line(),
                         message: format!("unknown function `{fname}`"),
                     })?;
@@ -954,16 +955,16 @@ fn parse_rhs(p: &mut Parser, dst: Reg) -> PResult<Instr> {
 
 fn parse_call_tail(p: &mut Parser) -> PResult<(FuncId, Vec<Operand>)> {
     let fname = p.ident()?;
-    let callee = p.prog.func_by_name(&fname).ok_or_else(|| ParseError {
+    let callee = p.prog.func_by_name(fname).ok_or_else(|| ParseError {
         line: p.line(),
         message: format!("unknown function `{fname}`"),
     })?;
     p.expect(Tok::LParen)?;
     let mut args = Vec::new();
-    if *p.peek() != Tok::RParen {
+    if p.peek() != Tok::RParen {
         loop {
             args.push(p.parse_operand()?);
-            if *p.peek() == Tok::Comma {
+            if p.peek() == Tok::Comma {
                 p.bump();
             } else {
                 break;
@@ -978,10 +979,10 @@ fn parse_icall_tail(p: &mut Parser) -> PResult<(Operand, Vec<Operand>, Vec<TypeI
     let target = p.parse_operand()?;
     p.expect(Tok::LParen)?;
     let mut args = Vec::new();
-    if *p.peek() != Tok::RParen {
+    if p.peek() != Tok::RParen {
         loop {
             args.push(p.parse_operand()?);
-            if *p.peek() == Tok::Comma {
+            if p.peek() == Tok::Comma {
                 p.bump();
             } else {
                 break;
@@ -992,10 +993,10 @@ fn parse_icall_tail(p: &mut Parser) -> PResult<(Operand, Vec<Operand>, Vec<TypeI
     p.expect(Tok::Colon)?;
     p.expect(Tok::LParen)?;
     let mut tys = Vec::new();
-    if *p.peek() != Tok::RParen {
+    if p.peek() != Tok::RParen {
         loop {
             tys.push(p.parse_type()?);
-            if *p.peek() == Tok::Comma {
+            if p.peek() == Tok::Comma {
                 p.bump();
             } else {
                 break;

@@ -4,23 +4,36 @@
 use crate::instr::Instr;
 use crate::module::{FuncKind, Program};
 use crate::types::TypeId;
-use std::fmt::Write as _;
+use std::fmt::{self, Display, Write as _};
 
 /// Render a whole program in the textual IR syntax.
 pub fn print_program(p: &Program) -> String {
     let mut out = String::new();
+    write_program(&mut out, p).expect("writing to a String cannot fail");
+    out
+}
 
+/// Render a single instruction.
+pub fn print_instr(p: &Program, ins: &Instr) -> String {
+    let mut out = String::new();
+    write_instr(&mut out, p, ins).expect("writing to a String cannot fail");
+    out
+}
+
+fn write_program(out: &mut String, p: &Program) -> fmt::Result {
     for rid in p.types.record_ids() {
         let rec = p.types.record(rid);
-        let fields: Vec<String> = rec
-            .fields
-            .iter()
-            .map(|f| match f.bit_width {
-                Some(w) => format!("{}: {}:{}", f.name, p.types.display(f.ty), w),
-                None => format!("{}: {}", f.name, p.types.display(f.ty)),
-            })
-            .collect();
-        let _ = writeln!(out, "record {} {{ {} }}", rec.name, fields.join(", "));
+        write!(out, "record {} {{ ", rec.name)?;
+        for (i, f) in rec.fields.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            write!(out, "{}: {}", f.name, ty(p, f.ty))?;
+            if let Some(w) = f.bit_width {
+                write!(out, ":{w}")?;
+            }
+        }
+        out.push_str(" }\n");
     }
     if p.types.num_records() > 0 {
         out.push('\n');
@@ -28,7 +41,7 @@ pub fn print_program(p: &Program) -> String {
 
     for gid in p.global_ids() {
         let g = p.global(gid);
-        let _ = writeln!(out, "global {}: {}", g.name, p.types.display(g.ty));
+        writeln!(out, "global {}: {}", g.name, ty(p, g.ty))?;
     }
     if !p.globals.is_empty() {
         out.push('\n');
@@ -36,51 +49,61 @@ pub fn print_program(p: &Program) -> String {
 
     for fid in p.func_ids() {
         let f = p.func(fid);
-        let params: Vec<String> = f.params.iter().map(|(_, t)| p.types.display(*t)).collect();
-        let sig = format!(
-            "func {}({}) -> {}",
-            f.name,
-            params.join(", "),
-            p.types.display(f.ret)
-        );
         match f.kind {
-            FuncKind::External => {
-                let _ = writeln!(out, "extern {sig}");
-                continue;
-            }
-            FuncKind::Libc => {
-                let _ = writeln!(out, "libc {sig}");
-                continue;
-            }
+            FuncKind::External => out.push_str("extern "),
+            FuncKind::Libc => out.push_str("libc "),
             FuncKind::Defined => {}
         }
-        let _ = writeln!(out, "{sig} {{");
+        write!(out, "func {}(", f.name)?;
+        write_list(out, f.params.iter().map(|(_, t)| ty(p, *t)))?;
+        write!(out, ") -> {}", ty(p, f.ret))?;
+        if f.kind != FuncKind::Defined {
+            out.push('\n');
+            continue;
+        }
+        out.push_str(" {\n");
         for bid in f.block_ids() {
-            let _ = writeln!(out, "{bid}:");
+            writeln!(out, "{bid}:")?;
             for ins in &f.block(bid).instrs {
-                let _ = writeln!(out, "  {}", print_instr(p, ins));
+                out.push_str("  ");
+                write_instr(out, p, ins)?;
+                out.push('\n');
             }
         }
-        let _ = writeln!(out, "}}\n");
+        out.push_str("}\n\n");
     }
-
-    out
+    Ok(())
 }
 
-fn ty(p: &Program, t: TypeId) -> String {
-    p.types.display(t)
+fn ty(p: &Program, t: TypeId) -> impl Display + '_ {
+    p.types.fmt_type(t)
 }
 
-/// Render a single instruction.
-pub fn print_instr(p: &Program, ins: &Instr) -> String {
+/// Write `items` separated by `, `.
+fn write_list(out: &mut String, items: impl IntoIterator<Item = impl Display>) -> fmt::Result {
+    for (i, x) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        write!(out, "{x}")?;
+    }
+    Ok(())
+}
+
+fn write_instr(out: &mut String, p: &Program, ins: &Instr) -> fmt::Result {
     match ins {
-        Instr::Assign { dst, src } => format!("{dst} = {src}"),
-        Instr::Bin { dst, op, lhs, rhs } => format!("{dst} = {} {lhs}, {rhs}", op.name()),
+        Instr::Assign { dst, src } => write!(out, "{dst} = {src}"),
+        Instr::Bin { dst, op, lhs, rhs } => write!(out, "{dst} = {} {lhs}, {rhs}", op.name()),
         Instr::Cmp { dst, op, lhs, rhs } => {
-            format!("{dst} = cmp.{} {lhs}, {rhs}", op.name())
+            write!(out, "{dst} = cmp.{} {lhs}, {rhs}", op.name())
         }
         Instr::Cast { dst, src, from, to } => {
-            format!("{dst} = cast {src} : {} -> {}", ty(p, *from), ty(p, *to))
+            write!(
+                out,
+                "{dst} = cast {src} : {} -> {}",
+                ty(p, *from),
+                ty(p, *to)
+            )
         }
         Instr::FieldAddr {
             dst,
@@ -89,7 +112,8 @@ pub fn print_instr(p: &Program, ins: &Instr) -> String {
             field,
         } => {
             let rec = p.types.record(*record);
-            format!(
+            write!(
+                out,
                 "{dst} = fieldaddr {base}, {}.{}",
                 rec.name, rec.fields[*field as usize].name
             )
@@ -99,19 +123,19 @@ pub fn print_instr(p: &Program, ins: &Instr) -> String {
             base,
             elem,
             index,
-        } => format!("{dst} = indexaddr {base}, {}, {index}", ty(p, *elem)),
-        Instr::Load { dst, addr, ty: t } => format!("{dst} = load {addr} : {}", ty(p, *t)),
+        } => write!(out, "{dst} = indexaddr {base}, {}, {index}", ty(p, *elem)),
+        Instr::Load { dst, addr, ty: t } => write!(out, "{dst} = load {addr} : {}", ty(p, *t)),
         Instr::Store { addr, value, ty: t } => {
-            format!("store {value}, {addr} : {}", ty(p, *t))
+            write!(out, "store {value}, {addr} : {}", ty(p, *t))
         }
         Instr::LoadGlobal { dst, global } => {
-            format!("{dst} = gload {}", p.global(*global).name)
+            write!(out, "{dst} = gload {}", p.global(*global).name)
         }
         Instr::StoreGlobal { global, value } => {
-            format!("gstore {value}, {}", p.global(*global).name)
+            write!(out, "gstore {value}, {}", p.global(*global).name)
         }
         Instr::AddrOfGlobal { dst, global } => {
-            format!("{dst} = gaddr {}", p.global(*global).name)
+            write!(out, "{dst} = gaddr {}", p.global(*global).name)
         }
         Instr::Alloc {
             dst,
@@ -120,24 +144,25 @@ pub fn print_instr(p: &Program, ins: &Instr) -> String {
             zeroed,
         } => {
             let op = if *zeroed { "zalloc" } else { "alloc" };
-            format!("{dst} = {op} {}, {count}", ty(p, *elem))
+            write!(out, "{dst} = {op} {}, {count}", ty(p, *elem))
         }
-        Instr::Free { ptr } => format!("free {ptr}"),
+        Instr::Free { ptr } => write!(out, "free {ptr}"),
         Instr::Realloc {
             dst,
             ptr,
             elem,
             count,
-        } => format!("{dst} = realloc {ptr}, {}, {count}", ty(p, *elem)),
-        Instr::Memcpy { dst, src, bytes } => format!("memcpy {dst}, {src}, {bytes}"),
-        Instr::Memset { dst, val, bytes } => format!("memset {dst}, {val}, {bytes}"),
+        } => write!(out, "{dst} = realloc {ptr}, {}, {count}", ty(p, *elem)),
+        Instr::Memcpy { dst, src, bytes } => write!(out, "memcpy {dst}, {src}, {bytes}"),
+        Instr::Memset { dst, val, bytes } => write!(out, "memset {dst}, {val}, {bytes}"),
         Instr::Call { dst, callee, args } => {
-            let a: Vec<String> = args.iter().map(|x| x.to_string()).collect();
-            let call = format!("call {}({})", p.func(*callee).name, a.join(", "));
-            match dst {
-                Some(d) => format!("{d} = {call}"),
-                None => call,
+            if let Some(d) = dst {
+                write!(out, "{d} = ")?;
             }
+            write!(out, "call {}(", p.func(*callee).name)?;
+            write_list(out, args)?;
+            out.push(')');
+            Ok(())
         }
         Instr::CallIndirect {
             dst,
@@ -145,24 +170,26 @@ pub fn print_instr(p: &Program, ins: &Instr) -> String {
             args,
             arg_types,
         } => {
-            let a: Vec<String> = args.iter().map(|x| x.to_string()).collect();
-            let ts: Vec<String> = arg_types.iter().map(|t| ty(p, *t)).collect();
-            let call = format!("icall {target}({}) : ({})", a.join(", "), ts.join(", "));
-            match dst {
-                Some(d) => format!("{d} = {call}"),
-                None => call,
+            if let Some(d) = dst {
+                write!(out, "{d} = ")?;
             }
+            write!(out, "icall {target}(")?;
+            write_list(out, args)?;
+            out.push_str(") : (");
+            write_list(out, arg_types.iter().map(|t| ty(p, *t)))?;
+            out.push(')');
+            Ok(())
         }
-        Instr::FuncAddr { dst, func } => format!("{dst} = fnaddr {}", p.func(*func).name),
-        Instr::Jump { target } => format!("jump {target}"),
+        Instr::FuncAddr { dst, func } => write!(out, "{dst} = fnaddr {}", p.func(*func).name),
+        Instr::Jump { target } => write!(out, "jump {target}"),
         Instr::Branch {
             cond,
             then_bb,
             else_bb,
-        } => format!("br {cond}, {then_bb}, {else_bb}"),
+        } => write!(out, "br {cond}, {then_bb}, {else_bb}"),
         Instr::Return { value } => match value {
-            Some(v) => format!("ret {v}"),
-            None => "ret".to_string(),
+            Some(v) => write!(out, "ret {v}"),
+            None => write!(out, "ret"),
         },
     }
 }

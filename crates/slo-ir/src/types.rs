@@ -578,14 +578,13 @@ impl TypeTable {
 
     /// Pretty-print a type.
     pub fn display(&self, id: TypeId) -> String {
-        match self.get(id) {
-            Type::Void => "void".to_string(),
-            Type::Scalar(k) => k.name().to_string(),
-            Type::Ptr(inner) => format!("ptr<{}>", self.display(*inner)),
-            Type::Record(r) => self.record(*r).name.clone(),
-            Type::Array(elem, n) => format!("[{}; {}]", self.display(*elem), n),
-            Type::FuncPtr => "fnptr".to_string(),
-        }
+        self.fmt_type(id).to_string()
+    }
+
+    /// [`display`](Self::display) without the `String`: the type's text
+    /// is written straight into whatever formats it.
+    pub fn fmt_type(&self, id: TypeId) -> impl fmt::Display + '_ {
+        TypeText(self, id)
     }
 
     /// Whether the type is a pointer (data or function).
@@ -619,6 +618,23 @@ impl TypeTable {
 /// overflow.
 fn round_up(v: u64, align: u64) -> Option<u64> {
     v.div_ceil(align).checked_mul(align)
+}
+
+/// The textual IR spelling of a type; see [`TypeTable::fmt_type`].
+struct TypeText<'a>(&'a TypeTable, TypeId);
+
+impl fmt::Display for TypeText<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let TypeText(t, id) = *self;
+        match t.get(id) {
+            Type::Void => f.write_str("void"),
+            Type::Scalar(k) => f.write_str(k.name()),
+            Type::Ptr(inner) => write!(f, "ptr<{}>", TypeText(t, *inner)),
+            Type::Record(r) => f.write_str(&t.record(*r).name),
+            Type::Array(elem, n) => write!(f, "[{}; {n}]", TypeText(t, *elem)),
+            Type::FuncPtr => f.write_str("fnptr"),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -446,7 +446,10 @@ impl Service {
         }
 
         // --- FE + IPA, memoized by content hash ----------------------
-        let key = slo::analysis_cache_key(prog, &scheme, &job.config);
+        // The printed input is both the key's text and, under an empty
+        // plan, the reply's transformed program.
+        let text = print_program(prog);
+        let key = slo::analysis_cache_key_of_text(&text, &scheme, &job.config);
         let cached = self.cache.lock().expect("cache lock").get_checked(key);
         if matches!(cached, Lookup::Corrupt) {
             // A poisoned entry failed fingerprint re-verification: it
@@ -531,15 +534,22 @@ impl Service {
         }
 
         // --- BE ------------------------------------------------------
-        let t = Instant::now();
-        let compiled = slo::apply_with(prog, &analysis, &self.trace);
-        jm.borrow_mut().be = t.elapsed();
-        let res = match compiled {
-            Ok(res) => res,
-            Err(e) => {
-                return JobStatus::Advisory {
-                    reason: Degradation::Transform(e.to_string()),
-                    report: Some(advisory_report(prog, &analysis)),
+        // An empty plan leaves the program as it is, and the VM is
+        // deterministic: the baseline run is then the transformed run
+        // too, and the printed input the transformed text.
+        let res = if analysis.plan.num_transformed() == 0 {
+            None
+        } else {
+            let t = Instant::now();
+            let compiled = slo::apply_with(prog, &analysis, &self.trace);
+            jm.borrow_mut().be = t.elapsed();
+            match compiled {
+                Ok(res) => Some(res),
+                Err(e) => {
+                    return JobStatus::Advisory {
+                        reason: Degradation::Transform(e.to_string()),
+                        report: Some(advisory_report(prog, &analysis)),
+                    }
                 }
             }
         };
@@ -578,6 +588,19 @@ impl Service {
                     "baseline run faulted: {e}"
                 )))
             }
+        };
+        let Some(res) = res else {
+            return JobStatus::Optimized(Optimized {
+                transformed: text,
+                num_transformed: 0,
+                eval: Evaluation {
+                    baseline_cycles: base.stats.cycles,
+                    optimized_cycles: base.stats.cycles,
+                    baseline_instructions: base.stats.instructions,
+                    optimized_instructions: base.stats.instructions,
+                },
+                ipa_fingerprint: ipa_fingerprint(&analysis.ipa),
+            });
         };
         if let Some(d) = over_deadline(deadline) {
             return degrade(d);

@@ -653,3 +653,91 @@ fn store_corruption_recomputes_identical_bits() {
     assert_eq!(m.store_hits, 0, "a corrupt record is never served");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+// --- empty plans --------------------------------------------------------
+
+/// The smallest Table 1 census program: ISPBO transforms none of its
+/// types.
+fn census_program() -> slo_ir::Program {
+    slo_workloads::census::generate(&slo_workloads::CENSUS_SPECS[0], 1)
+}
+
+/// `vm.run` spans a traced single-job batch records.
+fn vm_runs(job: Job) -> (JobOutcome, usize) {
+    let rec = slo_obs::Recorder::enabled();
+    let svc = Service::with_chaos(
+        ServiceConfig::builder().workers(1).build(),
+        rec.clone(),
+        FaultPlan::disabled(),
+        RetryPolicy::no_retries(),
+        Clock::virtual_clock(),
+    );
+    let [o] = &svc.run_batch(&[job])[..] else {
+        panic!("one outcome");
+    };
+    let runs = rec.events().iter().filter(|e| e.name == "vm.run").count();
+    (o.clone(), runs)
+}
+
+/// An empty plan leaves the program unchanged, so its one baseline run
+/// is also the transformed run and the printed input the reply's text.
+#[test]
+fn empty_plan_job_replies_from_its_one_baseline_run() {
+    let prog = census_program();
+    let (o, runs) = vm_runs(Job::from_program("census", prog.clone()));
+    let opt = expect_optimized(&o);
+    assert_eq!(opt.num_transformed, 0);
+    assert_eq!(
+        opt.transformed,
+        slo_ir::printer::print_program(&prog),
+        "transformed text is the printed input"
+    );
+    assert_eq!(opt.eval.optimized_cycles, opt.eval.baseline_cycles);
+    assert_eq!(
+        opt.eval.optimized_instructions,
+        opt.eval.baseline_instructions
+    );
+    assert!(opt.eval.baseline_cycles > 0);
+    assert_eq!(runs, 1, "one VM run for an empty plan");
+
+    let (o, runs) = vm_runs(Job::from_source("sample", SAMPLE).scheme(SchemeSpec::IspboW));
+    assert!(expect_optimized(&o).num_transformed > 0);
+    assert_eq!(
+        runs, 2,
+        "baseline and transformed runs for a non-empty plan"
+    );
+}
+
+/// Skipping the second run keeps the baseline run's degradation arms: a
+/// VM fault on an empty-plan job is a fault advisory, never a failure
+/// or a caught panic.
+#[test]
+fn vm_fault_on_an_empty_plan_job_is_a_fault_advisory() {
+    let always_alloc = FaultPlan::with_config(3, ChaosConfig::never().rate(Site::VmAlloc, 1024));
+    let svc = chaos_service(
+        1,
+        always_alloc,
+        RetryPolicy::no_retries(),
+        Clock::virtual_clock(),
+    );
+    let [o] = &svc.run_batch(&[Job::from_program("census", census_program())])[..] else {
+        panic!("one outcome");
+    };
+    match &o.status {
+        JobStatus::Advisory {
+            reason: Degradation::Fault(msg),
+            ..
+        } => assert!(msg.contains("baseline run"), "{msg}"),
+        other => panic!("expected fault advisory, got {}", other.kind()),
+    }
+    let m = svc.metrics();
+    assert_eq!(m.failed, 0);
+    assert_eq!(m.degraded_fault, 1);
+    assert_eq!(m.degraded_panic, 0);
+    assert_eq!(m.panics, 0);
+    assert!(
+        m.to_prometheus()
+            .contains("slo_jobs_degraded_total{reason=\"panic\"} 0"),
+        "panic degradations stay at 0"
+    );
+}

@@ -197,8 +197,20 @@ pub struct Analysis {
 /// `cfg`: normalized IR (printer fixpoint) + scheme name/profile +
 /// every config knob. Stable across processes and platforms.
 pub fn analysis_cache_key(prog: &Program, scheme: &WeightScheme<'_>, cfg: &PipelineConfig) -> u64 {
+    analysis_cache_key_of_text(&slo_ir::printer::print_program(prog), scheme, cfg)
+}
+
+/// [`analysis_cache_key`] of a program already printed to `text` by
+/// [`slo_ir::printer::print_program`], for callers that need the text
+/// anyway. The text is hashed length-prefixed, so the key needs it
+/// whole before the first byte is folded in.
+pub fn analysis_cache_key_of_text(
+    text: &str,
+    scheme: &WeightScheme<'_>,
+    cfg: &PipelineConfig,
+) -> u64 {
     let mut h = Fnv64::new();
-    h.write_str(&slo_ir::printer::print_program(prog));
+    h.write_str(text);
     fold_scheme(scheme, &mut h);
     cfg.fold_into(&mut h);
     h.digest()
@@ -379,14 +391,19 @@ pub fn collect_profile(prog: &Program) -> Result<Feedback, SloError> {
     Ok(out.feedback)
 }
 
-/// [`collect_profile`] with a trace recorder: the instrumented training
+/// [`collect_profile`] with a trace recorder, returning the whole
+/// instrumented training run: its `feedback` is the profile, and the
+/// run can stand in for the baseline run of [`evaluate_against`]. The
 /// run appears as a `profile` span (with the VM's own `vm.run` span
 /// nested inside it).
 ///
 /// # Errors
 ///
 /// See [`collect_profile`].
-pub fn collect_profile_with(prog: &Program, rec: &slo_obs::Recorder) -> Result<Feedback, SloError> {
+pub fn profile_run_with(
+    prog: &Program,
+    rec: &slo_obs::Recorder,
+) -> Result<slo_vm::ExecOutcome, SloError> {
     let mut span = rec.span("pipeline", "profile");
     span.arg("instrumented", true);
     let opts = slo_vm::VmOptions::builder()
@@ -396,7 +413,7 @@ pub fn collect_profile_with(prog: &Program, rec: &slo_obs::Recorder) -> Result<F
         .build();
     let out = slo_vm::run(prog, &opts)?;
     span.arg("instructions", out.stats.instructions);
-    Ok(out.feedback)
+    Ok(out)
 }
 
 /// Before/after performance comparison on the simulated machine.
@@ -581,6 +598,38 @@ bb3:
         assert_valid(&res.program);
         let eval = evaluate(&p, &res.program, &slo_vm::VmOptions::default()).expect("evaluate");
         assert!(eval.baseline_cycles > 0);
+    }
+
+    #[test]
+    fn cache_key_is_deterministic_and_text_sensitive() {
+        let key = |src: &str| {
+            let p = parse(src).expect("parse");
+            analysis_cache_key(&p, &WeightScheme::Ispbo, &PipelineConfig::default())
+        };
+        assert_eq!(key(SRC), key(SRC));
+        assert_eq!(key(SRC), key(&SRC.replace("  ret", "      ret")));
+        assert_ne!(key(SRC), key(&SRC.replace("ret r9", "ret r8")));
+        let p = parse(SRC).expect("parse");
+        let text = slo_ir::printer::print_program(&p);
+        for scheme in [WeightScheme::Ispbo, WeightScheme::Spbo] {
+            let cfg = PipelineConfig::default();
+            assert_eq!(
+                analysis_cache_key_of_text(&text, &scheme, &cfg),
+                analysis_cache_key(&p, &scheme, &cfg)
+            );
+        }
+    }
+
+    /// Keys name records in persistent stores: a change to the printer,
+    /// the hash or the folded knobs that moves this value orphans every
+    /// store written before it.
+    #[test]
+    fn cache_key_bytes_are_pinned() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/ir/hotcold.sir");
+        let src = std::fs::read_to_string(path).expect("read hotcold.sir");
+        let p = parse(&src).expect("parse");
+        let key = analysis_cache_key(&p, &WeightScheme::Ispbo, &PipelineConfig::default());
+        assert_eq!(key, 0x2fbb_892b_8122_42ec, "{key:#018x}");
     }
 
     #[test]

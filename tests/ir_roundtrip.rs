@@ -124,3 +124,27 @@ proptest! {
         }
     }
 }
+
+/// The printed text of every Table 1 census program at work scales 1–2
+/// is pinned by one digest, and each text is a parse/print fixpoint.
+/// Printed text is what analysis keys hash, so a printer change that
+/// moves a byte here would orphan every persistent store.
+#[test]
+fn census_print_bytes_are_pinned() {
+    use slo_workloads::{census, CENSUS_SPECS};
+    let mut h = slo_ir::Fnv64::new();
+    for spec in &CENSUS_SPECS {
+        for scale in 1..=2 {
+            let text = print_program(&census::generate(spec, scale));
+            let reparsed = parse(&text).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+            assert_eq!(
+                print_program(&reparsed),
+                text,
+                "{} scale {scale}",
+                spec.name
+            );
+            h.write_str(&text);
+        }
+    }
+    assert_eq!(h.digest(), 0x7e21_f549_5f70_6576, "{:#018x}", h.digest());
+}
