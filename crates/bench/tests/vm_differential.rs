@@ -296,6 +296,109 @@ fn oversized_memory_is_refused_identically() {
     }
 }
 
+#[test]
+fn memory_faults_are_located_identically() {
+    // Each fault names the function and `(block, index)` of the
+    // faulting instruction on both engines, however the frame got there.
+    let cases = [
+        // an out-of-bounds load two frames below `main`
+        (
+            "func leaf(ptr<i64>) -> i64 {\nbb0:\n  r1 = indexaddr r0, i64, 1000000\n  \
+             r2 = load r1 : i64\n  ret r2\n}\n\
+             func mid(ptr<i64>) -> i64 {\nbb0:\n  r1 = call leaf(r0)\n  ret r1\n}\n\
+             func main() -> i64 {\nbb0:\n  r0 = alloc i64, 4\n  jump bb1\nbb1:\n  \
+             r1 = call mid(r0)\n  ret r1\n}\n",
+            "leaf",
+            (0, 1),
+        ),
+        // a store to null right after the callee returns
+        (
+            "func get() -> ptr<i64> {\nbb0:\n  r0 = alloc i64, 1\n  store 5, r0 : i64\n  \
+             ret null\n}\n\
+             func main() -> i64 {\nbb0:\n  r0 = call get()\n  store 1, r0 : i64\n  ret 0\n}\n",
+            "main",
+            (0, 1),
+        ),
+        // `free` of a pointer into the middle of an allocation
+        (
+            "func main() -> i64 {\nbb0:\n  r0 = alloc i64, 4\n  \
+             r1 = indexaddr r0, i64, 1\n  free r1\n  ret 0\n}\n",
+            "main",
+            (0, 2),
+        ),
+        // a `memcpy` whose source runs past the end of the arena
+        (
+            "func main() -> i64 {\nbb0:\n  r0 = alloc i64, 4\n  jump bb1\nbb1:\n  \
+             r1 = indexaddr r0, i64, 3\n  memcpy r0, r1, 1000000000\n  ret 0\n}\n",
+            "main",
+            (1, 1),
+        ),
+    ];
+    for (src, func, at) in cases {
+        let prog = slo_ir::parser::parse(src).unwrap_or_else(|e| panic!("{e}\n{src}"));
+        assert!(slo_ir::verify::verify(&prog).is_empty(), "{src}");
+        for opts in [VmOptions::plain(), VmOptions::profiling()] {
+            let d = run(&prog, &opts).expect_err("decoded faults");
+            let s = run(&prog, &opts.clone().structured()).expect_err("structured faults");
+            assert_eq!(d, s, "{src}");
+            match d {
+                ExecError::MemAt {
+                    func: f, at: loc, ..
+                } => {
+                    assert_eq!((f.as_str(), loc), (func, at), "{src}")
+                }
+                other => panic!("{src}: unexpected {other:?}"),
+            }
+        }
+    }
+}
+
+#[test]
+fn trace_counter_series_is_pinned() {
+    // The decoded engine's sampled `vm.instructions`/`vm.cycles` series
+    // on the training-size mcf, folded into one digest. The loop charges
+    // the base cost once per run and shares one compare between the step
+    // limit and the next sample; neither may move a sampled value.
+    let prog = slo_workloads::mcf::build(InputSet::Training);
+    let rec = slo_obs::Recorder::with_capacity(1 << 17);
+    let opts = VmOptions::builder()
+        .trace(rec.clone())
+        .trace_step_interval(4096)
+        .build();
+    let out = run(&prog, &opts).expect("traced mcf");
+    assert_eq!(rec.dropped(), 0, "recorder too small for the series");
+    let mut h = slo_ir::Fnv64::new();
+    let mut samples = 0u64;
+    let mut last = (0.0, 0.0);
+    for ev in rec.events() {
+        if ev.kind != slo_obs::EventKind::Counter {
+            continue;
+        }
+        let value = match ev.args.as_slice() {
+            [("value", slo_obs::ArgValue::Float(v))] => *v,
+            other => panic!("counter without a value: {other:?}"),
+        };
+        h.write_str(&ev.name);
+        h.write_f64(value);
+        samples += 1;
+        match ev.name.as_str() {
+            "vm.instructions" => last.0 = value,
+            "vm.cycles" => last.1 = value,
+            other => panic!("unexpected counter {other}"),
+        }
+    }
+    assert_eq!(
+        (out.stats.instructions, samples, last, h.digest()),
+        (
+            143_991_286,
+            70_308,
+            (143_990_784.0, 262_520_488.0),
+            0xd35f_aca7_160b_1d39
+        ),
+        "instructions, counter samples, last (instructions, cycles), digest"
+    );
+}
+
 // ---------------------------------------------------------------------
 // Full-size suite (the exact programs the tables run). ~13 CPU-minutes;
 // excluded from the default run, executed with `-- --ignored`.

@@ -102,16 +102,21 @@ pub struct AccessResult {
     pub served_by: usize,
 }
 
+/// Marks an empty way. Tags are block numbers (`addr >> line_shift`),
+/// and simulated addresses stay far below `u64::MAX`, so no real block
+/// takes this value.
+const INVALID: u64 = u64::MAX;
+
 #[derive(Debug, Clone)]
 struct Level {
-    cfg: CacheLevelConfig,
-    sets: u64,
+    set_mask: u64,
+    assoc: usize,
     line_shift: u32,
-    /// tags[set * assoc + way]; u64::MAX = invalid
+    /// `tags[set * assoc..][..assoc]` holds one set's blocks in recency
+    /// order, most recent first. Empty ways are `INVALID` and always sit
+    /// at the tail, so the last way is the LRU victim whether or not the
+    /// set is full.
     tags: Vec<u64>,
-    /// LRU stamps parallel to `tags`.
-    stamps: Vec<u64>,
-    tick: u64,
 }
 
 impl Level {
@@ -122,49 +127,34 @@ impl Level {
             "cache geometry must be power-of-two"
         );
         Level {
-            cfg,
-            sets,
+            set_mask: sets - 1,
+            assoc: cfg.assoc as usize,
             line_shift: cfg.line.trailing_zeros(),
-            tags: vec![u64::MAX; (sets * cfg.assoc) as usize],
-            stamps: vec![0; (sets * cfg.assoc) as usize],
-            tick: 0,
+            tags: vec![INVALID; (sets * cfg.assoc) as usize],
         }
     }
 
-    /// Probe and (on miss) fill. Returns whether the access hit.
+    /// Probe and (on miss) fill, moving the block to the front of its
+    /// set either way. Returns whether the access hit.
+    #[inline]
     fn access(&mut self, addr: u64) -> bool {
-        self.tick += 1;
         let block = addr >> self.line_shift;
-        let set = (block & (self.sets - 1)) as usize;
-        let base = set * self.cfg.assoc as usize;
-        let ways = &mut self.tags[base..base + self.cfg.assoc as usize];
-        for (w, tag) in ways.iter().enumerate() {
-            if *tag == block {
-                self.stamps[base + w] = self.tick;
-                return true;
-            }
+        let base = (block & self.set_mask) as usize * self.assoc;
+        let ways = &mut self.tags[base..base + self.assoc];
+        if ways[0] == block {
+            return true;
         }
-        // miss: evict LRU
-        let mut victim = 0;
-        let mut oldest = u64::MAX;
-        for w in 0..self.cfg.assoc as usize {
-            if self.tags[base + w] == u64::MAX {
-                victim = w;
-                break;
-            }
-            if self.stamps[base + w] < oldest {
-                oldest = self.stamps[base + w];
-                victim = w;
-            }
-        }
-        self.tags[base + victim] = block;
-        self.stamps[base + victim] = self.tick;
-        false
+        let found = ways.iter().position(|&t| t == block);
+        // a hit shifts the more recent ways down over the block; a miss
+        // shifts every way down, dropping the last (the LRU one)
+        let w = found.unwrap_or(ways.len() - 1);
+        ways.copy_within(..w, 1);
+        ways[0] = block;
+        found.is_some()
     }
 
     fn flush(&mut self) {
-        self.tags.fill(u64::MAX);
-        self.stamps.fill(0);
+        self.tags.fill(INVALID);
     }
 }
 
@@ -207,6 +197,7 @@ impl CacheSim {
     /// `fp_first_level`). Accesses spanning two lines are charged as one
     /// access to the first line (workload fields never straddle lines in
     /// practice because of natural alignment).
+    #[inline]
     pub fn access(&mut self, addr: u64, fp: bool) -> AccessResult {
         self.stats.accesses += 1;
         let first = if fp {
@@ -214,26 +205,21 @@ impl CacheSim {
         } else {
             0
         };
-        let mut first_level_miss = false;
         for i in first..self.levels.len() {
-            let hit = self.levels[i].access(addr);
-            if hit {
+            if self.levels[i].access(addr) {
                 self.stats.levels[i].hits += 1;
                 return AccessResult {
                     latency: self.cfg.levels[i].latency,
-                    first_level_miss,
+                    first_level_miss: i != first,
                     served_by: i,
                 };
             }
             self.stats.levels[i].misses += 1;
-            if i == first {
-                first_level_miss = true;
-            }
         }
         self.stats.memory_accesses += 1;
         if self.cfg.next_line_prefetch {
             // install the next line everywhere, free of charge
-            let line = self.cfg.levels.first().map(|l| l.line).unwrap_or(64);
+            let line = self.l1_line();
             let next = addr.wrapping_add(line) & !(line - 1);
             for l in &mut self.levels {
                 l.access(next);
@@ -242,7 +228,7 @@ impl CacheSim {
         }
         AccessResult {
             latency: self.cfg.memory_latency,
-            first_level_miss,
+            first_level_miss: first < self.levels.len(),
             served_by: self.levels.len(),
         }
     }
@@ -273,10 +259,15 @@ impl CacheSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tiny() -> CacheSim {
+        CacheSim::new(tiny_config())
+    }
+
+    fn tiny_config() -> CacheConfig {
         // 2 sets x 2 ways x 64B lines = 256B L1; 1KB L2
-        CacheSim::new(CacheConfig {
+        CacheConfig {
             levels: vec![
                 CacheLevelConfig {
                     size: 256,
@@ -294,7 +285,7 @@ mod tests {
             memory_latency: 100,
             fp_first_level: 1,
             next_line_prefetch: false,
-        })
+        }
     }
 
     #[test]
@@ -434,5 +425,229 @@ mod tests {
             }
         }
         assert_eq!(l2_or_better, 16);
+    }
+
+    /// A hierarchy of the one level `lvl`, which FP accesses also use.
+    fn single(lvl: CacheLevelConfig) -> CacheConfig {
+        CacheConfig {
+            levels: vec![lvl],
+            memory_latency: 100,
+            fp_first_level: 0,
+            next_line_prefetch: false,
+        }
+    }
+
+    /// An address stream: strided runs and random bursts, each pass
+    /// repeated so later passes can hit what earlier ones installed.
+    /// Addresses stay below 2^32, like every simulated heap address.
+    fn address_stream() -> impl Strategy<Value = Vec<u64>> {
+        let segment = (
+            0u64..1 << 24,
+            prop::sample::select(vec![1u64, 8, 16, 64, 72, 128, 4096, 65536]),
+            1usize..200,
+            1usize..4,
+            any::<bool>(),
+            any::<u64>(),
+        );
+        prop::collection::vec(segment, 1..8).prop_map(|segs| {
+            let mut out = Vec::new();
+            for (start, stride, count, passes, random, seed) in segs {
+                for _ in 0..passes {
+                    let mut x = seed;
+                    for i in 0..count as u64 {
+                        let addr = if random {
+                            // LCG step: a repeatable burst within 64 KiB
+                            x = x
+                                .wrapping_mul(6364136223846793005)
+                                .wrapping_add(1442695040888963407);
+                            start + (x >> 48)
+                        } else {
+                            start + i * stride
+                        };
+                        out.push(addr);
+                    }
+                }
+            }
+            out
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+
+        /// The move-to-front sets are exact LRU: on every geometry, with
+        /// and without FP bypass (of some or all levels) and the
+        /// prefetcher, and across a flush,
+        /// each access returns what the stamp-based reference returns and
+        /// the final statistics agree.
+        #[test]
+        fn move_to_front_matches_stamp_lru(
+            geometry in 0usize..4,
+            prefetch in any::<bool>(),
+            fp_mode in 0u8..3,
+            fp_first_level in prop::sample::select(vec![None, Some(0), Some(1), Some(2), Some(3)]),
+            addrs in address_stream(),
+            flush_at in any::<usize>(),
+            fp_seed in any::<u64>(),
+        ) {
+            let mut cfg = match geometry {
+                // direct-mapped: 64 sets x 1 way
+                0 => single(CacheLevelConfig { size: 4096, line: 64, assoc: 1, latency: 1 }),
+                // one fully associative set of 8 ways
+                1 => single(CacheLevelConfig { size: 1024, line: 128, assoc: 8, latency: 3 }),
+                2 => tiny_config(),
+                _ => CacheConfig::default(),
+            };
+            cfg.next_line_prefetch = prefetch;
+            if let Some(level) = fp_first_level {
+                cfg.fp_first_level = level % (cfg.levels.len() + 1);
+            }
+            let mut fast = CacheSim::new(cfg.clone());
+            let mut oracle = reference::CacheSim::new(cfg);
+            let flush_at = flush_at % (addrs.len() + 1);
+            for (i, &addr) in addrs.iter().enumerate() {
+                if i == flush_at {
+                    fast.flush();
+                    oracle.flush();
+                }
+                let fp = match fp_mode {
+                    0 => false,
+                    1 => true,
+                    _ => (fp_seed >> (i % 64)) & 1 == 1,
+                };
+                let (got, want) = (fast.access(addr, fp), oracle.access(addr, fp));
+                prop_assert_eq!(got, want, "access {} at 0x{:x} (fp {})", i, addr, fp);
+            }
+            prop_assert_eq!(fast.stats(), &oracle.stats);
+        }
+    }
+
+    /// The plain form of LRU: every way keeps the tick of its last use,
+    /// and a miss fills the first empty way or evicts the oldest. The
+    /// oracle for the move-to-front sets.
+    mod reference {
+        use super::super::{AccessResult, CacheConfig, CacheLevelConfig, CacheStats, LevelStats};
+
+        struct Level {
+            cfg: CacheLevelConfig,
+            sets: u64,
+            line_shift: u32,
+            /// tags[set * assoc + way]; u64::MAX = invalid
+            tags: Vec<u64>,
+            /// LRU stamps parallel to `tags`.
+            stamps: Vec<u64>,
+            tick: u64,
+        }
+
+        impl Level {
+            fn new(cfg: CacheLevelConfig) -> Self {
+                let sets = (cfg.size / (cfg.line * cfg.assoc)).max(1);
+                Level {
+                    cfg,
+                    sets,
+                    line_shift: cfg.line.trailing_zeros(),
+                    tags: vec![u64::MAX; (sets * cfg.assoc) as usize],
+                    stamps: vec![0; (sets * cfg.assoc) as usize],
+                    tick: 0,
+                }
+            }
+
+            fn access(&mut self, addr: u64) -> bool {
+                self.tick += 1;
+                let block = addr >> self.line_shift;
+                let set = (block & (self.sets - 1)) as usize;
+                let base = set * self.cfg.assoc as usize;
+                let ways = &mut self.tags[base..base + self.cfg.assoc as usize];
+                for (w, tag) in ways.iter().enumerate() {
+                    if *tag == block {
+                        self.stamps[base + w] = self.tick;
+                        return true;
+                    }
+                }
+                // miss: evict LRU
+                let mut victim = 0;
+                let mut oldest = u64::MAX;
+                for w in 0..self.cfg.assoc as usize {
+                    if self.tags[base + w] == u64::MAX {
+                        victim = w;
+                        break;
+                    }
+                    if self.stamps[base + w] < oldest {
+                        oldest = self.stamps[base + w];
+                        victim = w;
+                    }
+                }
+                self.tags[base + victim] = block;
+                self.stamps[base + victim] = self.tick;
+                false
+            }
+
+            fn flush(&mut self) {
+                self.tags.fill(u64::MAX);
+                self.stamps.fill(0);
+            }
+        }
+
+        pub(super) struct CacheSim {
+            levels: Vec<Level>,
+            cfg: CacheConfig,
+            pub(super) stats: CacheStats,
+        }
+
+        impl CacheSim {
+            pub(super) fn new(cfg: CacheConfig) -> Self {
+                let levels = cfg.levels.iter().copied().map(Level::new).collect();
+                let stats = CacheStats {
+                    levels: vec![LevelStats::default(); cfg.levels.len()],
+                    ..CacheStats::default()
+                };
+                CacheSim { levels, cfg, stats }
+            }
+
+            pub(super) fn access(&mut self, addr: u64, fp: bool) -> AccessResult {
+                self.stats.accesses += 1;
+                let first = if fp {
+                    self.cfg.fp_first_level.min(self.levels.len())
+                } else {
+                    0
+                };
+                let mut first_level_miss = false;
+                for i in first..self.levels.len() {
+                    let hit = self.levels[i].access(addr);
+                    if hit {
+                        self.stats.levels[i].hits += 1;
+                        return AccessResult {
+                            latency: self.cfg.levels[i].latency,
+                            first_level_miss,
+                            served_by: i,
+                        };
+                    }
+                    self.stats.levels[i].misses += 1;
+                    if i == first {
+                        first_level_miss = true;
+                    }
+                }
+                self.stats.memory_accesses += 1;
+                if self.cfg.next_line_prefetch {
+                    let line = self.cfg.levels.first().map(|l| l.line).unwrap_or(64);
+                    let next = addr.wrapping_add(line) & !(line - 1);
+                    for l in &mut self.levels {
+                        l.access(next);
+                    }
+                    self.stats.prefetches += 1;
+                }
+                AccessResult {
+                    latency: self.cfg.memory_latency,
+                    first_level_miss,
+                    served_by: self.levels.len(),
+                }
+            }
+
+            pub(super) fn flush(&mut self) {
+                for l in &mut self.levels {
+                    l.flush();
+                }
+            }
+        }
     }
 }

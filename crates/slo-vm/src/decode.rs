@@ -782,7 +782,6 @@ struct DecVm<'p> {
     samples: Vec<Vec<SampleAcc>>,
     edge_counts: Vec<Vec<u64>>,
     entry_counts: Vec<u64>,
-    last_instr: Option<(FuncId, (u32, u32))>,
     frame_pool: Vec<Vec<Value>>,
 }
 
@@ -840,12 +839,13 @@ impl<'p> DecVm<'p> {
             samples,
             edge_counts,
             entry_counts: vec![0; nfuncs],
-            last_instr: None,
             frame_pool: Vec::new(),
         })
     }
 
     fn into_parts(mut self) -> (ExecStats, Feedback) {
+        // the loop leaves the per-instruction base cost out of `cycles`
+        self.stats.cycles += self.stats.instructions * self.opts.cost.base;
         self.stats.cache = self.cache.stats().clone();
         self.stats.allocated_bytes = self.heap.total_allocated();
         self.stats.peak_live_bytes = self.heap.peak_live();
@@ -982,22 +982,27 @@ impl<'p> DecVm<'p> {
     }
 
     fn call(&mut self, entry: FuncId, args: &[Value]) -> Result<Value, ExecError> {
-        self.call_inner(entry, args).map_err(|e| match e {
-            ExecError::Mem(err) => match self.last_instr.take() {
-                Some((fid, at)) => ExecError::MemAt {
+        let mut stack = Vec::new();
+        self.call_inner(&mut stack, entry, args)
+            .map_err(|e| match (e, stack.last()) {
+                // Only heap operations fail with `Mem`, and they fail
+                // after their frame's pc has moved past them.
+                (ExecError::Mem(err), Some(top)) => ExecError::MemAt {
                     err,
-                    func: self.prog.func(fid).name.clone(),
-                    at,
+                    func: self.prog.func(top.fid).name.clone(),
+                    at: self.dec.funcs[top.fid.index()].src[top.pc as usize - 1],
                 },
-                None => ExecError::Mem(err),
-            },
-            other => other,
-        })
+                (other, _) => other,
+            })
     }
 
-    fn call_inner(&mut self, entry: FuncId, args: &[Value]) -> Result<Value, ExecError> {
-        let mut stack: Vec<DFrame> = Vec::new();
-        self.push_frame(&mut stack, entry, args, None)?;
+    fn call_inner(
+        &mut self,
+        stack: &mut Vec<DFrame>,
+        entry: FuncId,
+        args: &[Value],
+    ) -> Result<Value, ExecError> {
+        self.push_frame(stack, entry, args, None)?;
         let mut last_ret = Value::Int(0);
         // Copy the reference out of `self` so instruction borrows don't
         // pin `self` for the duration of the loop.
@@ -1005,8 +1010,10 @@ impl<'p> DecVm<'p> {
         let base_cost = self.opts.cost.base;
         let step_limit = self.opts.effective_step_limit();
         // Sampled tracing: with the recorder disabled the sentinel is
-        // u64::MAX and the per-instruction cost is one compare that
-        // never fires (step_limit aborts the run long before).
+        // u64::MAX and never fires (step_limit aborts the run long
+        // before). `next_event` is the instruction count, before the
+        // increment, at which the step limit or the next sample is due,
+        // so the hot loop pays one compare for both.
         let trace = self.opts.trace.clone();
         let trace_interval = self.opts.trace_step_interval.max(1);
         let mut next_trace = if trace.is_enabled() {
@@ -1014,6 +1021,7 @@ impl<'p> DecVm<'p> {
         } else {
             u64::MAX
         };
+        let mut next_event = step_limit.min(next_trace - 1);
 
         'outer: while let Some(frame) = stack.last_mut() {
             let fid = frame.fid;
@@ -1028,16 +1036,18 @@ impl<'p> DecVm<'p> {
                     stack.pop();
                     continue 'outer;
                 }
-                if self.stats.instructions >= step_limit {
-                    return Err(ExecError::StepLimit);
+                if self.stats.instructions >= next_event {
+                    if self.stats.instructions >= step_limit {
+                        return Err(ExecError::StepLimit);
+                    }
+                    let n = self.stats.instructions + 1;
+                    trace.counter("vm", "vm.instructions", n as f64);
+                    let cycles = self.stats.cycles + n * base_cost;
+                    trace.counter("vm", "vm.cycles", cycles as f64);
+                    next_trace = next_trace.saturating_add(trace_interval);
+                    next_event = step_limit.min(next_trace - 1);
                 }
                 self.stats.instructions += 1;
-                self.stats.cycles += base_cost;
-                if self.stats.instructions == next_trace {
-                    trace.counter("vm", "vm.instructions", self.stats.instructions as f64);
-                    trace.counter("vm", "vm.cycles", self.stats.cycles as f64);
-                    next_trace = next_trace.saturating_add(trace_interval);
-                }
                 frame.pc += 1;
 
                 match ins {
@@ -1092,7 +1102,6 @@ impl<'p> DecVm<'p> {
                     } => {
                         let a = operand(&frame.regs, *addr).as_ptr();
                         self.stats.loads += 1;
-                        self.last_instr = Some((fid, src_at(dec, fid, frame.pc - 1)));
                         let v = match self.heap.read_scalar(a, *kind)? {
                             ScalarValue::Int(i) => Value::Int(i),
                             ScalarValue::Float(f) => Value::Float(f),
@@ -1108,7 +1117,6 @@ impl<'p> DecVm<'p> {
                     } => {
                         let a = operand(&frame.regs, *addr).as_ptr();
                         self.stats.loads += 1;
-                        self.last_instr = Some((fid, src_at(dec, fid, frame.pc - 1)));
                         let v = match self.heap.read_scalar(a, *kind)? {
                             ScalarValue::Int(i) => Value::Int(i),
                             ScalarValue::Float(f) => Value::Float(f),
@@ -1119,7 +1127,6 @@ impl<'p> DecVm<'p> {
                     DInstr::LoadPtr { dst, addr, site } => {
                         let a = operand(&frame.regs, *addr).as_ptr();
                         self.stats.loads += 1;
-                        self.last_instr = Some((fid, src_at(dec, fid, frame.pc - 1)));
                         let raw = self.heap.read_bytes(a, 8)?;
                         self.stats.cycles += self.mem_access(fid, *site, a, false, false);
                         frame.regs[*dst as usize] = Value::Ptr(raw);
@@ -1133,7 +1140,6 @@ impl<'p> DecVm<'p> {
                         let a = operand(&frame.regs, *addr).as_ptr();
                         let v = operand(&frame.regs, *value);
                         self.stats.stores += 1;
-                        self.last_instr = Some((fid, src_at(dec, fid, frame.pc - 1)));
                         self.heap
                             .write_scalar(a, *kind, ScalarValue::Int(v.as_int()))?;
                         self.stats.cycles += self.mem_access(fid, *site, a, false, true);
@@ -1147,7 +1153,6 @@ impl<'p> DecVm<'p> {
                         let a = operand(&frame.regs, *addr).as_ptr();
                         let v = operand(&frame.regs, *value);
                         self.stats.stores += 1;
-                        self.last_instr = Some((fid, src_at(dec, fid, frame.pc - 1)));
                         self.heap
                             .write_scalar(a, *kind, ScalarValue::Float(v.as_float()))?;
                         self.stats.cycles += self.mem_access(fid, *site, a, true, true);
@@ -1156,7 +1161,6 @@ impl<'p> DecVm<'p> {
                         let a = operand(&frame.regs, *addr).as_ptr();
                         let v = operand(&frame.regs, *value);
                         self.stats.stores += 1;
-                        self.last_instr = Some((fid, src_at(dec, fid, frame.pc - 1)));
                         self.heap.write_bytes(a, 8, v.as_ptr())?;
                         self.stats.cycles += self.mem_access(fid, *site, a, false, true);
                     }
@@ -1168,7 +1172,6 @@ impl<'p> DecVm<'p> {
                     } => {
                         let a = self.global_addr[*global as usize];
                         self.stats.loads += 1;
-                        self.last_instr = Some((fid, src_at(dec, fid, frame.pc - 1)));
                         let v = match self.heap.read_scalar(a, *kind)? {
                             ScalarValue::Int(i) => Value::Int(i),
                             ScalarValue::Float(f) => Value::Float(f),
@@ -1184,7 +1187,6 @@ impl<'p> DecVm<'p> {
                     } => {
                         let a = self.global_addr[*global as usize];
                         self.stats.loads += 1;
-                        self.last_instr = Some((fid, src_at(dec, fid, frame.pc - 1)));
                         let v = match self.heap.read_scalar(a, *kind)? {
                             ScalarValue::Int(i) => Value::Int(i),
                             ScalarValue::Float(f) => Value::Float(f),
@@ -1195,7 +1197,6 @@ impl<'p> DecVm<'p> {
                     DInstr::GLoadPtr { dst, global, site } => {
                         let a = self.global_addr[*global as usize];
                         self.stats.loads += 1;
-                        self.last_instr = Some((fid, src_at(dec, fid, frame.pc - 1)));
                         let raw = self.heap.read_bytes(a, 8)?;
                         self.stats.cycles += self.mem_access(fid, *site, a, false, false);
                         frame.regs[*dst as usize] = Value::Ptr(raw);
@@ -1209,7 +1210,6 @@ impl<'p> DecVm<'p> {
                         let v = operand(&frame.regs, *value);
                         let a = self.global_addr[*global as usize];
                         self.stats.stores += 1;
-                        self.last_instr = Some((fid, src_at(dec, fid, frame.pc - 1)));
                         self.heap
                             .write_scalar(a, *kind, ScalarValue::Int(v.as_int()))?;
                         self.stats.cycles += self.mem_access(fid, *site, a, false, true);
@@ -1223,7 +1223,6 @@ impl<'p> DecVm<'p> {
                         let v = operand(&frame.regs, *value);
                         let a = self.global_addr[*global as usize];
                         self.stats.stores += 1;
-                        self.last_instr = Some((fid, src_at(dec, fid, frame.pc - 1)));
                         self.heap
                             .write_scalar(a, *kind, ScalarValue::Float(v.as_float()))?;
                         self.stats.cycles += self.mem_access(fid, *site, a, true, true);
@@ -1236,7 +1235,6 @@ impl<'p> DecVm<'p> {
                         let v = operand(&frame.regs, *value);
                         let a = self.global_addr[*global as usize];
                         self.stats.stores += 1;
-                        self.last_instr = Some((fid, src_at(dec, fid, frame.pc - 1)));
                         self.heap.write_bytes(a, 8, v.as_ptr())?;
                         self.stats.cycles += self.mem_access(fid, *site, a, false, true);
                     }
@@ -1254,7 +1252,6 @@ impl<'p> DecVm<'p> {
                         }
                         let n = operand(&frame.regs, *count).as_int().max(0) as u64;
                         let bytes = n.saturating_mul(*elem_size);
-                        self.last_instr = Some((fid, src_at(dec, fid, frame.pc - 1)));
                         let a = self.heap.alloc(bytes)?;
                         self.stats.cycles += self.opts.cost.alloc_cost;
                         if *zeroed {
@@ -1264,7 +1261,6 @@ impl<'p> DecVm<'p> {
                     }
                     DInstr::Free { ptr } => {
                         let a = operand(&frame.regs, *ptr).as_ptr();
-                        self.last_instr = Some((fid, src_at(dec, fid, frame.pc - 1)));
                         self.heap.free(a)?;
                         self.stats.cycles += self.opts.cost.free_cost;
                     }
@@ -1277,7 +1273,6 @@ impl<'p> DecVm<'p> {
                         let a = operand(&frame.regs, *ptr).as_ptr();
                         let n = operand(&frame.regs, *count).as_int().max(0) as u64;
                         let bytes = n.saturating_mul(*elem_size);
-                        self.last_instr = Some((fid, src_at(dec, fid, frame.pc - 1)));
                         let na = self.heap.realloc(a, bytes)?;
                         self.stats.cycles += self.opts.cost.alloc_cost + bytes / 16;
                         frame.regs[*dst as usize] = Value::Ptr(na);
@@ -1291,7 +1286,6 @@ impl<'p> DecVm<'p> {
                         let d = operand(&frame.regs, *dst).as_ptr();
                         let s = operand(&frame.regs, *src).as_ptr();
                         let n = operand(&frame.regs, *bytes).as_int().max(0) as u64;
-                        self.last_instr = Some((fid, src_at(dec, fid, frame.pc - 1)));
                         self.heap.memcpy(d, s, n)?;
                         self.stats.cycles += self.stream_cost(fid, *site, d, s, n, true);
                     }
@@ -1304,7 +1298,6 @@ impl<'p> DecVm<'p> {
                         let d = operand(&frame.regs, *dst).as_ptr();
                         let v = operand(&frame.regs, *val).as_int() as u8;
                         let n = operand(&frame.regs, *bytes).as_int().max(0) as u64;
-                        self.last_instr = Some((fid, src_at(dec, fid, frame.pc - 1)));
                         self.heap.memset(d, v, n)?;
                         self.stats.cycles += self.stream_cost(fid, *site, d, d, n, false);
                     }
@@ -1320,7 +1313,7 @@ impl<'p> DecVm<'p> {
                         self.record_edge(fid, *edge_site);
                         let dst = *dst;
                         let callee = FuncId(*callee);
-                        self.push_frame(&mut stack, callee, &argv, dst)?;
+                        self.push_frame(stack, callee, &argv, dst)?;
                         continue 'outer;
                     }
                     DInstr::CallExtern { dst, func, args } => {
@@ -1346,7 +1339,7 @@ impl<'p> DecVm<'p> {
                         if dec.funcs[callee.index()].defined {
                             self.stats.cycles += self.opts.cost.call_overhead;
                             let dst = *dst;
-                            self.push_frame(&mut stack, callee, &argv, dst)?;
+                            self.push_frame(stack, callee, &argv, dst)?;
                             continue 'outer;
                         } else {
                             let r = dec.extern_fns[callee.index()].call(&argv);
@@ -1410,11 +1403,4 @@ impl<'p> DecVm<'p> {
 
         Ok(last_ret)
     }
-}
-
-/// The `(block, index)` source position of the decoded instruction at
-/// `pc` (for memory-fault attribution).
-#[inline]
-fn src_at(dec: &DecodedProgram, fid: FuncId, pc: u32) -> (u32, u32) {
-    dec.funcs[fid.index()].src[pc as usize]
 }

@@ -34,6 +34,11 @@ pub enum MemError {
         /// The requested size in bytes (`u64::MAX` if it overflowed).
         bytes: u64,
     },
+    /// A scalar read or write wider than 8 bytes.
+    ScalarTooWide {
+        /// The requested access size in bytes.
+        size: u64,
+    },
 }
 
 impl fmt::Display for MemError {
@@ -48,6 +53,9 @@ impl fmt::Display for MemError {
                 f,
                 "allocation of {bytes} bytes exceeds the {MEMORY_LIMIT}-byte simulated memory"
             ),
+            MemError::ScalarTooWide { size } => {
+                write!(f, "scalar access of {size} bytes is wider than 8")
+            }
         }
     }
 }
@@ -195,29 +203,48 @@ impl Heap {
         }
     }
 
-    /// Read `size` bytes little-endian as an unsigned integer.
-    ///
-    /// # Errors
-    ///
-    /// Fails on null or out-of-bounds access.
-    pub fn read_bytes(&self, addr: u64, size: u64) -> Result<u64, MemError> {
-        self.check(addr, size)?;
-        let mut v = 0u64;
-        for i in 0..size {
-            v |= (self.mem[(addr + i) as usize] as u64) << (8 * i);
+    /// The in-arena byte range of a scalar access of `size` bytes.
+    #[inline]
+    fn scalar_range(&self, addr: u64, size: u64) -> Result<std::ops::Range<usize>, MemError> {
+        if size > 8 {
+            return Err(MemError::ScalarTooWide { size });
         }
-        Ok(v)
+        self.check(addr, size)?;
+        Ok(addr as usize..(addr + size) as usize)
     }
 
-    /// Write the low `size` bytes of `v` little-endian.
+    /// Read `size` (at most 8) bytes little-endian as an unsigned
+    /// integer.
     ///
     /// # Errors
     ///
-    /// Fails on null or out-of-bounds access.
+    /// Fails on null or out-of-bounds access, and with
+    /// [`MemError::ScalarTooWide`] if `size` exceeds 8.
+    #[inline]
+    pub fn read_bytes(&self, addr: u64, size: u64) -> Result<u64, MemError> {
+        let bytes = &self.mem[self.scalar_range(addr, size)?];
+        // the common 8-byte access is one fixed-size load
+        if let Ok(word) = <[u8; 8]>::try_from(bytes) {
+            return Ok(u64::from_le_bytes(word));
+        }
+        let mut word = [0u8; 8];
+        word[..bytes.len()].copy_from_slice(bytes);
+        Ok(u64::from_le_bytes(word))
+    }
+
+    /// Write the low `size` (at most 8) bytes of `v` little-endian.
+    ///
+    /// # Errors
+    ///
+    /// Fails on null or out-of-bounds access, and with
+    /// [`MemError::ScalarTooWide`] if `size` exceeds 8.
+    #[inline]
     pub fn write_bytes(&mut self, addr: u64, size: u64, v: u64) -> Result<(), MemError> {
-        self.check(addr, size)?;
-        for i in 0..size {
-            self.mem[(addr + i) as usize] = (v >> (8 * i)) as u8;
+        let range = self.scalar_range(addr, size)?;
+        let bytes = &mut self.mem[range];
+        match <&mut [u8; 8]>::try_from(&mut *bytes) {
+            Ok(word) => *word = v.to_le_bytes(),
+            Err(_) => bytes.copy_from_slice(&v.to_le_bytes()[..bytes.len()]),
         }
         Ok(())
     }
@@ -227,6 +254,7 @@ impl Heap {
     /// # Errors
     ///
     /// Fails on null or out-of-bounds access.
+    #[inline]
     pub fn read_scalar(&self, addr: u64, k: ScalarKind) -> Result<ScalarValue, MemError> {
         let raw = self.read_bytes(addr, k.size())?;
         Ok(match k {
@@ -247,6 +275,7 @@ impl Heap {
     /// # Errors
     ///
     /// Fails on null or out-of-bounds access.
+    #[inline]
     pub fn write_scalar(
         &mut self,
         addr: u64,
@@ -404,6 +433,33 @@ mod tests {
             h.memset(top, 0, 8),
             Err(MemError::OutOfBounds { .. })
         ));
+    }
+
+    #[test]
+    fn scalar_access_wider_than_8_bytes_is_refused() {
+        let mut h = Heap::new();
+        let a = h.alloc(64).expect("alloc");
+        h.write_bytes(a, 8, u64::MAX).expect("write");
+        h.write_bytes(a + 8, 8, 0x0102_0304_0506_0708)
+            .expect("write");
+        for size in [9, 16, u64::MAX] {
+            assert_eq!(h.read_bytes(a, size), Err(MemError::ScalarTooWide { size }));
+            assert_eq!(
+                h.write_bytes(a, size, 7),
+                Err(MemError::ScalarTooWide { size })
+            );
+        }
+        // the refused write changed nothing; every width up to 8 reads
+        // its own low bytes
+        assert_eq!(h.read_bytes(a, 8), Ok(u64::MAX));
+        for size in 0..=8u64 {
+            let mask = u64::MAX.checked_shr(64 - 8 * size as u32).unwrap_or(0);
+            assert_eq!(
+                h.read_bytes(a + 8, size),
+                Ok(0x0102_0304_0506_0708 & mask),
+                "size {size}"
+            );
+        }
     }
 
     #[test]

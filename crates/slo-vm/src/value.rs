@@ -56,64 +56,35 @@ impl Value {
 
     /// Evaluate a binary operation with C-like promotion rules:
     /// float dominates int; pointer arithmetic is byte-granular.
+    #[inline]
     pub fn bin(op: BinOp, a: Value, b: Value) -> Value {
+        match (a, b) {
+            (Value::Int(x), Value::Int(y)) => Value::Int(int_bin(op, x, y)),
+            (Value::Float(x), Value::Float(y)) => float_bin(op, x, y),
+            _ => Value::bin_promoted(op, a, b),
+        }
+    }
+
+    /// [`Value::bin`] for pointer and mixed-type operands.
+    #[inline(never)]
+    fn bin_promoted(op: BinOp, a: Value, b: Value) -> Value {
         use BinOp::*;
         match (a, b) {
             (Value::Ptr(p), other) if matches!(op, Add | Sub) => {
                 let d = other.as_int();
-                match op {
-                    Add => Value::Ptr(p.wrapping_add(d as u64)),
-                    Sub => match other {
-                        Value::Ptr(q) => Value::Int(p.wrapping_sub(q) as i64),
-                        _ => Value::Ptr(p.wrapping_sub(d as u64)),
-                    },
-                    _ => unreachable!(),
+                match (op, other) {
+                    (Add, _) => Value::Ptr(p.wrapping_add(d as u64)),
+                    (_, Value::Ptr(q)) => Value::Int(p.wrapping_sub(q) as i64),
+                    _ => Value::Ptr(p.wrapping_sub(d as u64)),
                 }
             }
             (other, Value::Ptr(p)) if op == Add => {
                 Value::Ptr(p.wrapping_add(other.as_int() as u64))
             }
             (Value::Float(_), _) | (_, Value::Float(_)) => {
-                let x = a.as_float();
-                let y = b.as_float();
-                match op {
-                    Add => Value::Float(x + y),
-                    Sub => Value::Float(x - y),
-                    Mul => Value::Float(x * y),
-                    Div => Value::Float(x / y),
-                    Rem => Value::Float(x % y),
-                    // bitwise on floats degrades to integer semantics
-                    _ => Value::bin(op, Value::Int(x as i64), Value::Int(y as i64)),
-                }
+                float_bin(op, a.as_float(), b.as_float())
             }
-            _ => {
-                let x = a.as_int();
-                let y = b.as_int();
-                Value::Int(match op {
-                    Add => x.wrapping_add(y),
-                    Sub => x.wrapping_sub(y),
-                    Mul => x.wrapping_mul(y),
-                    Div => {
-                        if y == 0 {
-                            0
-                        } else {
-                            x.wrapping_div(y)
-                        }
-                    }
-                    Rem => {
-                        if y == 0 {
-                            0
-                        } else {
-                            x.wrapping_rem(y)
-                        }
-                    }
-                    And => x & y,
-                    Or => x | y,
-                    Xor => x ^ y,
-                    Shl => x.wrapping_shl(y as u32),
-                    Shr => x.wrapping_shr(y as u32),
-                })
-            }
+            _ => Value::Int(int_bin(op, a.as_int(), b.as_int())),
         }
     }
 
@@ -136,6 +107,49 @@ impl Value {
             _ => cmp_int(op, a.as_int(), b.as_int()),
         };
         Value::Int(r as i64)
+    }
+}
+
+#[inline]
+fn int_bin(op: BinOp, x: i64, y: i64) -> i64 {
+    use BinOp::*;
+    match op {
+        Add => x.wrapping_add(y),
+        Sub => x.wrapping_sub(y),
+        Mul => x.wrapping_mul(y),
+        Div => {
+            if y == 0 {
+                0
+            } else {
+                x.wrapping_div(y)
+            }
+        }
+        Rem => {
+            if y == 0 {
+                0
+            } else {
+                x.wrapping_rem(y)
+            }
+        }
+        And => x & y,
+        Or => x | y,
+        Xor => x ^ y,
+        Shl => x.wrapping_shl(y as u32),
+        Shr => x.wrapping_shr(y as u32),
+    }
+}
+
+#[inline]
+fn float_bin(op: BinOp, x: f64, y: f64) -> Value {
+    use BinOp::*;
+    match op {
+        Add => Value::Float(x + y),
+        Sub => Value::Float(x - y),
+        Mul => Value::Float(x * y),
+        Div => Value::Float(x / y),
+        Rem => Value::Float(x % y),
+        // bitwise on floats degrades to integer semantics
+        _ => Value::Int(int_bin(op, x as i64, y as i64)),
     }
 }
 
@@ -173,6 +187,7 @@ impl fmt::Display for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn int_arithmetic() {
@@ -269,5 +284,86 @@ mod tests {
             Value::bin(BinOp::Xor, Value::Int(0b1100), Value::Int(0b1010)),
             Value::Int(0b0110)
         );
+    }
+
+    /// The promotion rules of `Value::bin` as one match with no fast
+    /// paths: the oracle for the split into inline and promoted paths.
+    fn reference_bin(op: BinOp, a: Value, b: Value) -> Value {
+        use BinOp::*;
+        match (a, b) {
+            (Value::Ptr(p), other) if matches!(op, Add | Sub) => {
+                let d = other.as_int();
+                match op {
+                    Add => Value::Ptr(p.wrapping_add(d as u64)),
+                    Sub => match other {
+                        Value::Ptr(q) => Value::Int(p.wrapping_sub(q) as i64),
+                        _ => Value::Ptr(p.wrapping_sub(d as u64)),
+                    },
+                    _ => unreachable!(),
+                }
+            }
+            (other, Value::Ptr(p)) if op == Add => {
+                Value::Ptr(p.wrapping_add(other.as_int() as u64))
+            }
+            (Value::Float(_), _) | (_, Value::Float(_)) => {
+                let (x, y) = (a.as_float(), b.as_float());
+                match op {
+                    Add => Value::Float(x + y),
+                    Sub => Value::Float(x - y),
+                    Mul => Value::Float(x * y),
+                    Div => Value::Float(x / y),
+                    Rem => Value::Float(x % y),
+                    _ => reference_bin(op, Value::Int(x as i64), Value::Int(y as i64)),
+                }
+            }
+            _ => {
+                let (x, y) = (a.as_int(), b.as_int());
+                Value::Int(match op {
+                    Add => x.wrapping_add(y),
+                    Sub => x.wrapping_sub(y),
+                    Mul => x.wrapping_mul(y),
+                    Div if y == 0 => 0,
+                    Div => x.wrapping_div(y),
+                    Rem if y == 0 => 0,
+                    Rem => x.wrapping_rem(y),
+                    And => x & y,
+                    Or => x | y,
+                    Xor => x ^ y,
+                    Shl => x.wrapping_shl(y as u32),
+                    Shr => x.wrapping_shr(y as u32),
+                })
+            }
+        }
+    }
+
+    /// Kind and raw bits, so NaN results compare equal to themselves.
+    fn bits(v: Value) -> (u8, u64) {
+        match v {
+            Value::Int(x) => (0, x as u64),
+            Value::Float(x) => (1, x.to_bits()),
+            Value::Ptr(x) => (2, x),
+        }
+    }
+
+    fn any_value() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            any::<i64>().prop_map(Value::Int),
+            (-70i64..70).prop_map(Value::Int),
+            any::<f64>().prop_map(Value::Float),
+            (-70i64..70).prop_map(|x| Value::Float(x as f64 / 4.0)),
+            any::<u64>().prop_map(Value::Ptr),
+            (0u64..70).prop_map(Value::Ptr),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn bin_matches_reference(op in 0usize..10, a in any_value(), b in any_value()) {
+            use BinOp::*;
+            let op = [Add, Sub, Mul, Div, Rem, And, Or, Xor, Shl, Shr][op];
+            prop_assert_eq!(bits(Value::bin(op, a, b)), bits(reference_bin(op, a, b)));
+        }
     }
 }
