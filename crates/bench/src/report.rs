@@ -105,16 +105,12 @@ pub fn record_table(table: &str, stats: TableStats) {
 
 /// Merge one `interp_hot_loop` engine comparison into `BENCH_vm.json`
 /// under `hot_loop.<bench>`: host-side instructions/second for each
-/// engine and the decoded/structured speedup ratio.
-pub fn record_hot_loop(bench: &str, decoded_ips: f64, structured_ips: f64) {
+/// engine (medians over alternating runs) and the decoded/structured
+/// speedup (the median of the per-round ratios).
+pub fn record_hot_loop(bench: &str, decoded_ips: f64, structured_ips: f64, speedup: f64) {
     let mut entry = Json::object();
     entry.set("decoded_instr_per_sec", Json::Num(decoded_ips));
     entry.set("structured_instr_per_sec", Json::Num(structured_ips));
-    let speedup = if structured_ips > 0.0 {
-        decoded_ips / structured_ips
-    } else {
-        0.0
-    };
     entry.set("speedup", Json::Num(speedup));
     let summary = format!(
         "hot_loop/{bench}: decoded {decoded_ips:.2e} i/s, structured \
@@ -129,13 +125,14 @@ pub fn record_hot_loop(bench: &str, decoded_ips: f64, structured_ips: f64) {
 /// into `hot_loop.<bench>` (alongside the engine comparison recorded by
 /// [`record_hot_loop`]): throughput with the default options, with an
 /// explicit no-op recorder, and with an enabled sampled recorder, plus
-/// the no-op overhead in percent (the tentpole's ≤ 3% budget).
-pub fn record_hot_loop_trace(bench: &str, baseline_ips: f64, noop_ips: f64, sampled_ips: f64) {
-    let overhead_pct = if noop_ips > 0.0 {
-        (baseline_ips / noop_ips - 1.0) * 100.0
-    } else {
-        0.0
-    };
+/// the no-op overhead in percent (its budget is 3%).
+pub fn record_hot_loop_trace(
+    bench: &str,
+    baseline_ips: f64,
+    noop_ips: f64,
+    sampled_ips: f64,
+    overhead_pct: f64,
+) {
     let summary = format!(
         "hot_loop/{bench} tracing: untraced {baseline_ips:.2e} i/s, \
          no-op {noop_ips:.2e} i/s ({overhead_pct:+.2}%), sampled {sampled_ips:.2e} i/s"

@@ -297,6 +297,44 @@ fn oversized_memory_is_refused_identically() {
 }
 
 #[test]
+fn one_register_takes_every_result_kind() {
+    // `r5` receives an `Int`, a `Float` and a `Ptr` (then an `Int`
+    // again) from `Bin` on alternating iterations: a result written in
+    // place must replace the register's kind along with its bits.
+    let n = 3_000i64;
+    let src = format!(
+        "func main() -> i64 {{\nbb0:\n  r0 = alloc i64, 8\n  r1 = 0\n  r2 = 0\n  jump bb1\n\
+         bb1:\n  r3 = cmp.lt r1, {n}\n  br r3, bb2, bb8\n\
+         bb2:\n  r4 = rem r1, 3\n  r7 = cmp.eq r4, 0\n  br r7, bb4, bb3\n\
+         bb3:\n  r7 = cmp.eq r4, 1\n  br r7, bb5, bb6\n\
+         bb4:\n  r5 = mul r1, 7\n  r2 = add r2, r5\n  jump bb7\n\
+         bb5:\n  r8 = cast r1 : i64 -> f64\n  r5 = mul r8, 0.5\n  r5 = add r5, 1\n  \
+         r6 = cast r5 : f64 -> i64\n  r2 = add r2, r6\n  jump bb7\n\
+         bb6:\n  r8 = and r1, 7\n  r8 = mul r8, 8\n  r5 = add r0, r8\n  store r1, r5 : i64\n  \
+         r6 = load r5 : i64\n  r5 = sub r5, r0\n  r2 = add r2, r6\n  r2 = add r2, r5\n  jump bb7\n\
+         bb7:\n  r1 = add r1, 1\n  jump bb1\n\
+         bb8:\n  ret r2\n}}\n"
+    );
+    let prog = slo_ir::parser::parse(&src).unwrap_or_else(|e| panic!("{e}\n{src}"));
+    assert!(slo_ir::verify::verify(&prog).is_empty(), "{src}");
+    let want: i64 = (0..n)
+        .map(|i| match i % 3 {
+            0 => i * 7,
+            1 => (i as f64 * 0.5 + 1.0) as i64,
+            _ => i + (i & 7) * 8,
+        })
+        .sum();
+    for (label, opts) in [
+        ("plain", VmOptions::plain()),
+        ("profiling", VmOptions::profiling()),
+    ] {
+        check("kinds", label, &prog, &opts);
+        let exit = run(&prog, &opts).expect("runs").exit;
+        assert_eq!(exit, slo_vm::Value::Int(want), "{label}");
+    }
+}
+
+#[test]
 fn memory_faults_are_located_identically() {
     // Each fault names the function and `(block, index)` of the
     // faulting instruction on both engines, however the frame got there.

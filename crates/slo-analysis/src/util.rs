@@ -111,9 +111,7 @@ fn record_uses(ins: &Instr, at: InstrRef, du: &mut DefUse) {
         }
         Instr::StoreGlobal { value, .. } => add(*value, UseRole::StoreValue),
         other => {
-            for op in other.uses() {
-                add(op, UseRole::Other);
-            }
+            other.for_each_use(|op| add(op, UseRole::Other));
         }
     }
 }

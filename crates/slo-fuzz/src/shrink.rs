@@ -299,11 +299,11 @@ fn halve_constants(p: &Program, out: &mut Vec<Program>) {
     for f in &p.funcs {
         for b in &f.blocks {
             for i in &b.instrs {
-                for op in i.uses() {
+                i.for_each_use(|op| {
                     if matches!(op, Operand::Const(Const::Int(v)) if v.abs() > 2) {
                         n += 1;
                     }
-                }
+                });
             }
         }
     }

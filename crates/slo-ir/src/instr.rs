@@ -519,46 +519,47 @@ impl Instr {
         }
     }
 
-    /// All operands read by this instruction.
-    pub fn uses(&self) -> Vec<Operand> {
+    /// Call `f` on every operand read by this instruction, in order,
+    /// without allocating.
+    pub fn for_each_use(&self, mut f: impl FnMut(Operand)) {
         match self {
-            Instr::Assign { src, .. } => vec![*src],
-            Instr::Bin { lhs, rhs, .. } | Instr::Cmp { lhs, rhs, .. } => vec![*lhs, *rhs],
-            Instr::Cast { src, .. } => vec![*src],
-            Instr::FieldAddr { base, .. } => vec![*base],
-            Instr::IndexAddr { base, index, .. } => vec![*base, *index],
-            Instr::Load { addr, .. } => vec![*addr],
-            Instr::Store { addr, value, .. } => vec![*addr, *value],
-            Instr::LoadGlobal { .. } | Instr::AddrOfGlobal { .. } | Instr::FuncAddr { .. } => {
-                vec![]
+            Instr::Assign { src, .. } | Instr::Cast { src, .. } => f(*src),
+            Instr::Bin { lhs, rhs, .. } | Instr::Cmp { lhs, rhs, .. } => {
+                [*lhs, *rhs].into_iter().for_each(f)
             }
-            Instr::StoreGlobal { value, .. } => vec![*value],
-            Instr::Alloc { count, .. } => vec![*count],
-            Instr::Free { ptr } => vec![*ptr],
-            Instr::Realloc { ptr, count, .. } => vec![*ptr, *count],
-            Instr::Memcpy { dst, src, bytes } => vec![*dst, *src, *bytes],
-            Instr::Memset { dst, val, bytes } => vec![*dst, *val, *bytes],
-            Instr::Call { args, .. } => args.clone(),
-            Instr::CallIndirect { target, args, .. } => {
-                let mut v = vec![*target];
-                v.extend(args.iter().copied());
-                v
-            }
-            Instr::Jump { .. } => vec![],
-            Instr::Branch { cond, .. } => vec![*cond],
-            Instr::Return { value } => value.iter().copied().collect(),
+            Instr::FieldAddr { base, .. } => f(*base),
+            Instr::IndexAddr { base, index, .. } => [*base, *index].into_iter().for_each(f),
+            Instr::Load { addr, .. } => f(*addr),
+            Instr::Store { addr, value, .. } => [*addr, *value].into_iter().for_each(f),
+            Instr::StoreGlobal { value, .. } => f(*value),
+            Instr::Alloc { count, .. } => f(*count),
+            Instr::Free { ptr } => f(*ptr),
+            Instr::Realloc { ptr, count, .. } => [*ptr, *count].into_iter().for_each(f),
+            Instr::Memcpy { dst, src, bytes } => [*dst, *src, *bytes].into_iter().for_each(f),
+            Instr::Memset { dst, val, bytes } => [*dst, *val, *bytes].into_iter().for_each(f),
+            Instr::Call { args, .. } => args.iter().copied().for_each(f),
+            Instr::CallIndirect { target, args, .. } => std::iter::once(*target)
+                .chain(args.iter().copied())
+                .for_each(f),
+            Instr::Branch { cond, .. } => f(*cond),
+            Instr::Return { value } => value.iter().copied().for_each(f),
+            Instr::LoadGlobal { .. }
+            | Instr::AddrOfGlobal { .. }
+            | Instr::FuncAddr { .. }
+            | Instr::Jump { .. } => {}
         }
     }
 
     /// Successor blocks if this is a terminator.
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            Instr::Jump { target } => vec![*target],
+    pub fn successors(&self) -> impl Iterator<Item = BlockId> {
+        let (first, second) = match *self {
+            Instr::Jump { target } => (Some(target), None),
             Instr::Branch {
                 then_bb, else_bb, ..
-            } => vec![*then_bb, *else_bb],
-            _ => vec![],
-        }
+            } => (Some(then_bb), Some(else_bb)),
+            _ => (None, None),
+        };
+        first.into_iter().chain(second)
     }
 
     /// Whether this instruction touches memory (used by the cost model).
@@ -635,6 +636,12 @@ mod tests {
         .is_terminator());
     }
 
+    fn uses(i: &Instr) -> Vec<Operand> {
+        let mut v = Vec::new();
+        i.for_each_use(|o| v.push(o));
+        v
+    }
+
     #[test]
     fn def_and_uses() {
         let i = Instr::Bin {
@@ -644,7 +651,7 @@ mod tests {
             rhs: Reg(1).into(),
         };
         assert_eq!(i.def(), Some(Reg(2)));
-        assert_eq!(i.uses().len(), 2);
+        assert_eq!(uses(&i), [Reg(0).into(), Reg(1).into()]);
 
         let st = Instr::Store {
             addr: Reg(0).into(),
@@ -652,7 +659,7 @@ mod tests {
             ty: TypeId(0),
         };
         assert_eq!(st.def(), None);
-        assert_eq!(st.uses().len(), 2);
+        assert_eq!(uses(&st), [Reg(0).into(), Operand::int(7)]);
 
         let call = Instr::Call {
             dst: None,
@@ -660,7 +667,15 @@ mod tests {
             args: vec![Operand::int(1), Reg(4).into()],
         };
         assert_eq!(call.def(), None);
-        assert_eq!(call.uses().len(), 2);
+        assert_eq!(uses(&call), [Operand::int(1), Reg(4).into()]);
+
+        let icall = Instr::CallIndirect {
+            dst: None,
+            target: Reg(5).into(),
+            args: vec![Reg(6).into()],
+            arg_types: vec![TypeId(0)],
+        };
+        assert_eq!(uses(&icall), [Reg(5).into(), Reg(6).into()]);
     }
 
     #[test]
@@ -670,8 +685,11 @@ mod tests {
             then_bb: BlockId(1),
             else_bb: BlockId(2),
         };
-        assert_eq!(b.successors(), vec![BlockId(1), BlockId(2)]);
-        assert_eq!(Instr::Return { value: None }.successors(), vec![]);
+        assert!(b.successors().eq([BlockId(1), BlockId(2)]));
+        assert!(Instr::Jump { target: BlockId(3) }
+            .successors()
+            .eq([BlockId(3)]));
+        assert_eq!(Instr::Return { value: None }.successors().count(), 0);
     }
 
     #[test]

@@ -26,8 +26,9 @@ impl BasicBlock {
     /// Successor blocks of this block.
     pub fn successors(&self) -> Vec<BlockId> {
         self.terminator()
-            .map(|t| t.successors())
-            .unwrap_or_default()
+            .into_iter()
+            .flat_map(Instr::successors)
+            .collect()
     }
 }
 

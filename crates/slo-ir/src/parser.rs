@@ -652,14 +652,12 @@ fn parse_body(p: &mut Parser, fid: FuncId) -> PResult<()> {
                 if let Some(Reg(r)) = ins.def() {
                     max_reg = max_reg.max(r + 1);
                 }
-                for u in ins.uses() {
+                ins.for_each_use(|u| {
                     if let Operand::Reg(Reg(r)) = u {
                         max_reg = max_reg.max(r + 1);
                     }
-                }
-                for s in ins.successors() {
-                    max_label_ref.push((s.0, line));
-                }
+                });
+                max_label_ref.extend(ins.successors().map(|s| (s.0, line)));
                 blocks[cb].instrs.push(ins);
             }
             other => return p.err(format!("expected instruction or `}}`, found {other}")),

@@ -126,13 +126,13 @@ pub fn verify(p: &Program) -> Vec<VerifyError> {
                         push(&mut errs, format!("bb{bi}:{ii}: def of out-of-range r{r}"));
                     }
                 }
-                for u in ins.uses() {
+                ins.for_each_use(|u| {
                     if let Operand::Reg(Reg(r)) = u {
                         if r >= f.num_regs {
                             push(&mut errs, format!("bb{bi}:{ii}: use of out-of-range r{r}"));
                         }
                     }
-                }
+                });
                 // block targets
                 for s in ins.successors() {
                     if s.0 >= nblocks {

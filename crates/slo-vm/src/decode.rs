@@ -1057,7 +1057,7 @@ impl<'p> DecVm<'p> {
                     DInstr::Bin { dst, op, lhs, rhs } => {
                         let a = operand(&frame.regs, *lhs);
                         let b = operand(&frame.regs, *rhs);
-                        frame.regs[*dst as usize] = Value::bin(*op, a, b);
+                        Value::bin(*op, a, b, &mut frame.regs[*dst as usize]);
                     }
                     DInstr::Cmp { dst, op, lhs, rhs } => {
                         let a = operand(&frame.regs, *lhs);

@@ -62,6 +62,8 @@ impl fmt::Display for MemError {
 
 impl std::error::Error for MemError {}
 
+/// The lowest address of any global or allocation: an access below it
+/// (a field of a null record pointer, say) faults at any offset.
 const BASE: u64 = 0x1000;
 const ALIGN: u64 = 16;
 
@@ -198,7 +200,7 @@ impl Heap {
         // `checked_add`: a pointer near `u64::MAX` must not wrap past
         // the bounds test
         match addr.checked_add(size) {
-            Some(end) if addr >= BASE.min(0x100) && end <= self.mem.len() as u64 => Ok(()),
+            Some(end) if addr >= BASE && end <= self.mem.len() as u64 => Ok(()),
             _ => Err(MemError::OutOfBounds { addr, size }),
         }
     }

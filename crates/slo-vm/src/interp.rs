@@ -570,7 +570,7 @@ impl<'p> Vm<'p> {
                     Instr::Bin { dst, op, lhs, rhs } => {
                         let a = self.operand(frame, *lhs);
                         let b = self.operand(frame, *rhs);
-                        frame.regs[dst.0 as usize] = Value::bin(*op, a, b);
+                        Value::bin(*op, a, b, &mut frame.regs[dst.0 as usize]);
                     }
                     Instr::Cmp { dst, op, lhs, rhs } => {
                         let a = self.operand(frame, *lhs);

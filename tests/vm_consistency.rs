@@ -165,6 +165,41 @@ fn pointer_near_address_space_end_is_out_of_bounds_on_both_engines() {
     }
 }
 
+#[test]
+fn null_record_field_past_256_bytes_is_out_of_bounds_on_both_engines() {
+    // `big.f39` lies at offset 312: below the first global or allocation
+    // (0x1000), so reaching it through a null record pointer must fault
+    // even once the arena exists
+    let fields: Vec<String> = (0..40).map(|i| format!("f{i}: i64")).collect();
+    for access in ["r2 = load r1 : i64", "store 7, r1 : i64"] {
+        let src = format!(
+            "record big {{ {} }}\nfunc main() -> i64 {{\nbb0:\n  r9 = alloc big, 1\n  \
+             r0 = cast null : i64 -> ptr<big>\n  r1 = fieldaddr r0, big.f39\n  {access}\n  \
+             ret 0\n}}",
+            fields.join(", ")
+        );
+        let p = parse(&src).expect("parse");
+        assert!(slo_ir::verify::verify(&p).is_empty(), "program must verify");
+        for opts in [VmOptions::default(), VmOptions::default().structured()] {
+            let err = run(&p, &opts)
+                .map(|o| o.exit)
+                .expect_err("access must fault");
+            assert!(
+                matches!(
+                    &err,
+                    ExecError::MemAt {
+                        err: MemError::OutOfBounds { addr: 312, .. },
+                        func,
+                        at: (0, 3),
+                    } if func == "main"
+                ),
+                "{access} on {:?}: {err:?}",
+                opts.engine
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
