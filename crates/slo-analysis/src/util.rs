@@ -6,7 +6,7 @@
 //! flow-insensitive: a register gets the type of its (usually unique)
 //! defining instruction, and ambiguity degrades conservatively.
 
-use slo_ir::{FuncId, Instr, InstrRef, Operand, Program, Reg, Type, TypeId};
+use slo_ir::{FuncId, Instr, InstrRef, Operand, Program, Reg, TypeId};
 
 /// How an instruction uses a register operand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,17 +157,14 @@ pub fn reg_types(prog: &Program, fid: FuncId) -> Vec<Option<TypeId>> {
                     .record(*record)
                     .fields
                     .get(*field as usize)
-                    .map(|f| (*dst, Some(ptr_to_existing(prog, f.ty)))),
-                Instr::IndexAddr { dst, elem, .. } => {
-                    Some((*dst, Some(ptr_to_existing(prog, *elem))))
-                }
+                    .map(|f| (*dst, Some(ptr_to(prog, f.ty)))),
+                Instr::IndexAddr { dst, elem, .. } => Some((*dst, Some(ptr_to(prog, *elem)))),
                 Instr::LoadGlobal { dst, global } => {
                     Some((*dst, Some(prog.globals[global.index()].ty)))
                 }
-                Instr::AddrOfGlobal { dst, global } => Some((
-                    *dst,
-                    Some(ptr_to_existing(prog, prog.globals[global.index()].ty)),
-                )),
+                Instr::AddrOfGlobal { dst, global } => {
+                    Some((*dst, Some(ptr_to(prog, prog.globals[global.index()].ty))))
+                }
                 Instr::Call { dst, callee, .. } => dst.map(|d| (d, Some(prog.func(*callee).ret))),
                 Instr::Assign {
                     dst,
@@ -184,31 +181,20 @@ pub fn reg_types(prog: &Program, fid: FuncId) -> Vec<Option<TypeId>> {
 }
 
 // Interning requires &mut; the analyses only *read* programs, so look up
-// the pointer type if it already exists, otherwise synthesize a lookup
-// that still identifies the pointee for the analyses' purposes. Since all
-// programs built by the builder/parser intern pointer types before use,
-// a missing entry means "no pointer to this type exists in the program",
-// and we fall back to the pointee itself, which is still enough for
-// `involved_record`.
-fn ptr_to_existing(prog: &Program, pointee: TypeId) -> TypeId {
-    for i in 0..prog.types.num_types() as u32 {
-        if let Type::Ptr(inner) = prog.types.get(TypeId(i)) {
-            if *inner == pointee {
-                return TypeId(i);
-            }
-        }
-    }
-    pointee
-}
-
+// the pointer type if it already exists: one probe of the table's intern
+// map. Since all programs built by the builder/parser intern pointer
+// types before use, a missing entry means "no pointer to this type exists
+// in the program", and we fall back to the pointee itself, which is still
+// enough for `involved_record`.
 fn ptr_to(prog: &Program, pointee: TypeId) -> TypeId {
-    ptr_to_existing(prog, pointee)
+    prog.types.ptr_id(pointee).unwrap_or(pointee)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use slo_ir::parser::parse;
+    use slo_ir::Type;
 
     const SRC: &str = r#"
 record node { v: i64, next: ptr<node> }

@@ -1,109 +1,190 @@
 //! Textual IR printing. The output is parseable by [`crate::parser`] —
 //! `parse(print(p))` round-trips every construct.
+//!
+//! The printer pushes `&str` pieces onto one `String` and spells
+//! registers, block labels and integers with its own digit writer; only
+//! float constants go through `core::fmt`, for their `{:?}` spelling.
 
-use crate::instr::Instr;
+use crate::instr::{BlockId, Const, Instr, Operand, Reg};
 use crate::module::{FuncKind, Program};
 use crate::types::TypeId;
-use std::fmt::{self, Display, Write as _};
+use std::fmt::Write as _;
 
 /// Render a whole program in the textual IR syntax.
 pub fn print_program(p: &Program) -> String {
     let mut out = String::new();
-    write_program(&mut out, p).expect("writing to a String cannot fail");
+    write_program(&mut Out { s: &mut out, p });
     out
 }
 
 /// Render a single instruction.
 pub fn print_instr(p: &Program, ins: &Instr) -> String {
     let mut out = String::new();
-    write_instr(&mut out, p, ins).expect("writing to a String cannot fail");
+    write_instr(&mut Out { s: &mut out, p }, ins);
     out
 }
 
-fn write_program(out: &mut String, p: &Program) -> fmt::Result {
+/// The decimal digits of `v`, written into the back of `buf`.
+pub(crate) fn digits(mut v: u64, buf: &mut [u8; 20]) -> &str {
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    std::str::from_utf8(&buf[i..]).expect("ASCII digits")
+}
+
+/// The output `String` and the program whose names it spells. Every
+/// method appends and returns `self`, so a line reads in output order.
+struct Out<'a> {
+    s: &'a mut String,
+    p: &'a Program,
+}
+
+impl Out<'_> {
+    fn str(&mut self, piece: &str) -> &mut Self {
+        self.s.push_str(piece);
+        self
+    }
+
+    fn num(&mut self, v: u64) -> &mut Self {
+        self.str(digits(v, &mut [0; 20]))
+    }
+
+    fn reg(&mut self, r: Reg) -> &mut Self {
+        self.str("r").num(r.0.into())
+    }
+
+    fn block(&mut self, b: BlockId) -> &mut Self {
+        self.str("bb").num(b.0.into())
+    }
+
+    /// `rD = mnemonic `: the head of an instruction that defines `dst`.
+    fn def(&mut self, dst: Reg, mnemonic: &str) -> &mut Self {
+        self.reg(dst).str(" = ").str(mnemonic).str(" ")
+    }
+
+    fn op(&mut self, op: &Operand) -> &mut Self {
+        match op {
+            Operand::Reg(r) => self.reg(*r),
+            Operand::Const(Const::Int(v)) => {
+                if *v < 0 {
+                    self.str("-");
+                }
+                self.num(v.unsigned_abs())
+            }
+            Operand::Const(Const::Float(v)) => {
+                write!(self.s, "{v:?}").expect("writing to a String cannot fail");
+                self
+            }
+            Operand::Const(Const::Null) => self.str("null"),
+        }
+    }
+
+    fn ty(&mut self, t: TypeId) -> &mut Self {
+        self.p
+            .types
+            .write_type(self.s, t)
+            .expect("writing to a String cannot fail");
+        self
+    }
+
+    /// Write `items` separated by `, `.
+    fn list<T>(
+        &mut self,
+        items: impl IntoIterator<Item = T>,
+        mut each: impl FnMut(&mut Self, T),
+    ) -> &mut Self {
+        for (i, x) in items.into_iter().enumerate() {
+            if i > 0 {
+                self.str(", ");
+            }
+            each(self, x);
+        }
+        self
+    }
+
+    fn ops<'i>(&mut self, ops: impl IntoIterator<Item = &'i Operand>) -> &mut Self {
+        self.list(ops, |o, op| {
+            o.op(op);
+        })
+    }
+
+    fn tys<'i>(&mut self, tys: impl IntoIterator<Item = &'i TypeId>) -> &mut Self {
+        self.list(tys, |o, t| {
+            o.ty(*t);
+        })
+    }
+}
+
+fn write_program(o: &mut Out<'_>) {
+    let p = o.p;
     for rid in p.types.record_ids() {
         let rec = p.types.record(rid);
-        write!(out, "record {} {{ ", rec.name)?;
-        for (i, f) in rec.fields.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            write!(out, "{}: {}", f.name, ty(p, f.ty))?;
+        o.str("record ").str(&rec.name).str(" { ");
+        o.list(&rec.fields, |o, f| {
+            o.str(&f.name).str(": ").ty(f.ty);
             if let Some(w) = f.bit_width {
-                write!(out, ":{w}")?;
+                o.str(":").num(w.into());
             }
-        }
-        out.push_str(" }\n");
+        });
+        o.str(" }\n");
     }
     if p.types.num_records() > 0 {
-        out.push('\n');
+        o.str("\n");
     }
 
     for gid in p.global_ids() {
         let g = p.global(gid);
-        writeln!(out, "global {}: {}", g.name, ty(p, g.ty))?;
+        o.str("global ").str(&g.name).str(": ").ty(g.ty).str("\n");
     }
     if !p.globals.is_empty() {
-        out.push('\n');
+        o.str("\n");
     }
 
     for fid in p.func_ids() {
         let f = p.func(fid);
         match f.kind {
-            FuncKind::External => out.push_str("extern "),
-            FuncKind::Libc => out.push_str("libc "),
-            FuncKind::Defined => {}
-        }
-        write!(out, "func {}(", f.name)?;
-        write_list(out, f.params.iter().map(|(_, t)| ty(p, *t)))?;
-        write!(out, ") -> {}", ty(p, f.ret))?;
+            FuncKind::External => o.str("extern "),
+            FuncKind::Libc => o.str("libc "),
+            FuncKind::Defined => o,
+        };
+        o.str("func ").str(&f.name).str("(");
+        o.tys(f.params.iter().map(|(_, t)| t));
+        o.str(") -> ").ty(f.ret);
         if f.kind != FuncKind::Defined {
-            out.push('\n');
+            o.str("\n");
             continue;
         }
-        out.push_str(" {\n");
+        o.str(" {\n");
         for bid in f.block_ids() {
-            writeln!(out, "{bid}:")?;
+            o.block(bid).str(":\n");
             for ins in &f.block(bid).instrs {
-                out.push_str("  ");
-                write_instr(out, p, ins)?;
-                out.push('\n');
+                o.str("  ");
+                write_instr(o, ins);
+                o.str("\n");
             }
         }
-        out.push_str("}\n\n");
+        o.str("}\n\n");
     }
-    Ok(())
 }
 
-fn ty(p: &Program, t: TypeId) -> impl Display + '_ {
-    p.types.fmt_type(t)
-}
-
-/// Write `items` separated by `, `.
-fn write_list(out: &mut String, items: impl IntoIterator<Item = impl Display>) -> fmt::Result {
-    for (i, x) in items.into_iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        write!(out, "{x}")?;
-    }
-    Ok(())
-}
-
-fn write_instr(out: &mut String, p: &Program, ins: &Instr) -> fmt::Result {
+fn write_instr(o: &mut Out<'_>, ins: &Instr) {
+    let p = o.p;
     match ins {
-        Instr::Assign { dst, src } => write!(out, "{dst} = {src}"),
-        Instr::Bin { dst, op, lhs, rhs } => write!(out, "{dst} = {} {lhs}, {rhs}", op.name()),
+        Instr::Assign { dst, src } => o.reg(*dst).str(" = ").op(src),
+        Instr::Bin { dst, op, lhs, rhs } => o.def(*dst, op.name()).ops([lhs, rhs]),
         Instr::Cmp { dst, op, lhs, rhs } => {
-            write!(out, "{dst} = cmp.{} {lhs}, {rhs}", op.name())
+            o.reg(*dst).str(" = cmp.").str(op.name());
+            o.str(" ").ops([lhs, rhs])
         }
         Instr::Cast { dst, src, from, to } => {
-            write!(
-                out,
-                "{dst} = cast {src} : {} -> {}",
-                ty(p, *from),
-                ty(p, *to)
-            )
+            o.def(*dst, "cast").op(src).str(" : ").ty(*from);
+            o.str(" -> ").ty(*to)
         }
         Instr::FieldAddr {
             dst,
@@ -112,57 +193,53 @@ fn write_instr(out: &mut String, p: &Program, ins: &Instr) -> fmt::Result {
             field,
         } => {
             let rec = p.types.record(*record);
-            write!(
-                out,
-                "{dst} = fieldaddr {base}, {}.{}",
-                rec.name, rec.fields[*field as usize].name
-            )
+            o.def(*dst, "fieldaddr").op(base).str(", ").str(&rec.name);
+            o.str(".").str(&rec.fields[*field as usize].name)
         }
         Instr::IndexAddr {
             dst,
             base,
             elem,
             index,
-        } => write!(out, "{dst} = indexaddr {base}, {}, {index}", ty(p, *elem)),
-        Instr::Load { dst, addr, ty: t } => write!(out, "{dst} = load {addr} : {}", ty(p, *t)),
-        Instr::Store { addr, value, ty: t } => {
-            write!(out, "store {value}, {addr} : {}", ty(p, *t))
+        } => {
+            o.def(*dst, "indexaddr").op(base).str(", ").ty(*elem);
+            o.str(", ").op(index)
         }
-        Instr::LoadGlobal { dst, global } => {
-            write!(out, "{dst} = gload {}", p.global(*global).name)
-        }
+        Instr::Load { dst, addr, ty } => o.def(*dst, "load").op(addr).str(" : ").ty(*ty),
+        Instr::Store { addr, value, ty } => o.str("store ").ops([value, addr]).str(" : ").ty(*ty),
+        Instr::LoadGlobal { dst, global } => o.def(*dst, "gload").str(&p.global(*global).name),
         Instr::StoreGlobal { global, value } => {
-            write!(out, "gstore {value}, {}", p.global(*global).name)
+            o.str("gstore ").op(value).str(", ");
+            o.str(&p.global(*global).name)
         }
-        Instr::AddrOfGlobal { dst, global } => {
-            write!(out, "{dst} = gaddr {}", p.global(*global).name)
-        }
+        Instr::AddrOfGlobal { dst, global } => o.def(*dst, "gaddr").str(&p.global(*global).name),
         Instr::Alloc {
             dst,
             elem,
             count,
             zeroed,
         } => {
-            let op = if *zeroed { "zalloc" } else { "alloc" };
-            write!(out, "{dst} = {op} {}, {count}", ty(p, *elem))
+            o.def(*dst, if *zeroed { "zalloc" } else { "alloc" });
+            o.ty(*elem).str(", ").op(count)
         }
-        Instr::Free { ptr } => write!(out, "free {ptr}"),
+        Instr::Free { ptr } => o.str("free ").op(ptr),
         Instr::Realloc {
             dst,
             ptr,
             elem,
             count,
-        } => write!(out, "{dst} = realloc {ptr}, {}, {count}", ty(p, *elem)),
-        Instr::Memcpy { dst, src, bytes } => write!(out, "memcpy {dst}, {src}, {bytes}"),
-        Instr::Memset { dst, val, bytes } => write!(out, "memset {dst}, {val}, {bytes}"),
+        } => {
+            o.def(*dst, "realloc").op(ptr).str(", ").ty(*elem);
+            o.str(", ").op(count)
+        }
+        Instr::Memcpy { dst, src, bytes } => o.str("memcpy ").ops([dst, src, bytes]),
+        Instr::Memset { dst, val, bytes } => o.str("memset ").ops([dst, val, bytes]),
         Instr::Call { dst, callee, args } => {
             if let Some(d) = dst {
-                write!(out, "{d} = ")?;
+                o.reg(*d).str(" = ");
             }
-            write!(out, "call {}(", p.func(*callee).name)?;
-            write_list(out, args)?;
-            out.push(')');
-            Ok(())
+            o.str("call ").str(&p.func(*callee).name).str("(");
+            o.ops(args).str(")")
         }
         Instr::CallIndirect {
             dst,
@@ -171,27 +248,24 @@ fn write_instr(out: &mut String, p: &Program, ins: &Instr) -> fmt::Result {
             arg_types,
         } => {
             if let Some(d) = dst {
-                write!(out, "{d} = ")?;
+                o.reg(*d).str(" = ");
             }
-            write!(out, "icall {target}(")?;
-            write_list(out, args)?;
-            out.push_str(") : (");
-            write_list(out, arg_types.iter().map(|t| ty(p, *t)))?;
-            out.push(')');
-            Ok(())
+            o.str("icall ").op(target).str("(").ops(args);
+            o.str(") : (").tys(arg_types).str(")")
         }
-        Instr::FuncAddr { dst, func } => write!(out, "{dst} = fnaddr {}", p.func(*func).name),
-        Instr::Jump { target } => write!(out, "jump {target}"),
+        Instr::FuncAddr { dst, func } => o.def(*dst, "fnaddr").str(&p.func(*func).name),
+        Instr::Jump { target } => o.str("jump ").block(*target),
         Instr::Branch {
             cond,
             then_bb,
             else_bb,
-        } => write!(out, "br {cond}, {then_bb}, {else_bb}"),
-        Instr::Return { value } => match value {
-            Some(v) => write!(out, "ret {v}"),
-            None => write!(out, "ret"),
-        },
-    }
+        } => {
+            o.str("br ").op(cond).str(", ").block(*then_bb);
+            o.str(", ").block(*else_bb)
+        }
+        Instr::Return { value: Some(v) } => o.str("ret ").op(v),
+        Instr::Return { value: None } => o.str("ret"),
+    };
 }
 
 #[cfg(test)]

@@ -10,6 +10,7 @@
 //! bit-fields purely as a heuristic constraint (never remove / reorder them
 //! across alignment boundaries).
 
+use crate::printer::digits;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -353,6 +354,13 @@ impl TypeTable {
         self.interned.get(&Type::Record(rid)).copied()
     }
 
+    /// The interned `TypeId` for `Type::Ptr(to)` if it exists. Every
+    /// type goes through [`intern`](Self::intern), so a pointer type has
+    /// at most one id.
+    pub fn ptr_id(&self, to: TypeId) -> Option<TypeId> {
+        self.interned.get(&Type::Ptr(to)).copied()
+    }
+
     /// Number of record types.
     pub fn num_records(&self) -> usize {
         self.records.len()
@@ -587,6 +595,31 @@ impl TypeTable {
         TypeText(self, id)
     }
 
+    /// Write the textual IR spelling of a type. This is the one routine
+    /// that spells types: the printer calls it on its `String`, and
+    /// [`fmt_type`](Self::fmt_type) and [`display`](Self::display) go
+    /// through it.
+    pub(crate) fn write_type<W: fmt::Write>(&self, out: &mut W, id: TypeId) -> fmt::Result {
+        match self.get(id) {
+            Type::Void => out.write_str("void"),
+            Type::Scalar(k) => out.write_str(k.name()),
+            Type::Ptr(inner) => {
+                out.write_str("ptr<")?;
+                self.write_type(out, *inner)?;
+                out.write_str(">")
+            }
+            Type::Record(r) => out.write_str(&self.record(*r).name),
+            Type::Array(elem, n) => {
+                out.write_str("[")?;
+                self.write_type(out, *elem)?;
+                out.write_str("; ")?;
+                out.write_str(digits(*n, &mut [0; 20]))?;
+                out.write_str("]")
+            }
+            Type::FuncPtr => out.write_str("fnptr"),
+        }
+    }
+
     /// Whether the type is a pointer (data or function).
     pub fn is_ptr(&self, id: TypeId) -> bool {
         matches!(self.get(id), Type::Ptr(_) | Type::FuncPtr)
@@ -625,15 +658,7 @@ struct TypeText<'a>(&'a TypeTable, TypeId);
 
 impl fmt::Display for TypeText<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let TypeText(t, id) = *self;
-        match t.get(id) {
-            Type::Void => f.write_str("void"),
-            Type::Scalar(k) => f.write_str(k.name()),
-            Type::Ptr(inner) => write!(f, "ptr<{}>", TypeText(t, *inner)),
-            Type::Record(r) => f.write_str(&t.record(*r).name),
-            Type::Array(elem, n) => write!(f, "[{}; {n}]", TypeText(t, *elem)),
-            Type::FuncPtr => f.write_str("fnptr"),
-        }
+        self.0.write_type(f, self.1)
     }
 }
 

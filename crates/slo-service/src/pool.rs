@@ -44,10 +44,13 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let workers = if workers == 0 { hw } else { workers }.min(items.len());
+    // Ask the host (on Linux, a read of cgroup files) only when a pool
+    // could use more than one core.
+    let workers = match workers {
+        0 if items.len() > 1 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        w => w,
+    }
+    .min(items.len());
     if workers <= 1 {
         // No pool, nothing to kill: the caller *is* the supervisor.
         return items.iter().map(&f).collect();

@@ -783,6 +783,8 @@ struct DecVm<'p> {
     edge_counts: Vec<Vec<u64>>,
     entry_counts: Vec<u64>,
     frame_pool: Vec<Vec<Value>>,
+    /// The arguments of the call being made; `push_frame` reads them.
+    args: Vec<Value>,
 }
 
 #[inline]
@@ -840,6 +842,7 @@ impl<'p> DecVm<'p> {
             edge_counts,
             entry_counts: vec![0; nfuncs],
             frame_pool: Vec::new(),
+            args: Vec::new(),
         })
     }
 
@@ -950,7 +953,6 @@ impl<'p> DecVm<'p> {
         &mut self,
         stack: &mut Vec<DFrame>,
         fid: FuncId,
-        args: &[Value],
         ret_dst: Option<u32>,
     ) -> Result<(), ExecError> {
         if stack.len() >= self.opts.call_depth_limit {
@@ -960,15 +962,10 @@ impl<'p> DecVm<'p> {
         if !df.defined {
             return Err(ExecError::NotDefined(self.prog.func(fid).name.clone()));
         }
-        let num_regs = df.num_regs as usize;
         let mut regs = self.frame_pool.pop().unwrap_or_default();
         regs.clear();
-        regs.resize(num_regs, Value::Int(0));
-        for (i, v) in args.iter().enumerate() {
-            if i < regs.len() {
-                regs[i] = *v;
-            }
-        }
+        regs.extend(self.args.iter().take(df.num_regs as usize));
+        regs.resize(df.num_regs as usize, Value::Int(0));
         if self.opts.collect_edges {
             self.entry_counts[fid.index()] += 1;
         }
@@ -1002,7 +999,8 @@ impl<'p> DecVm<'p> {
         entry: FuncId,
         args: &[Value],
     ) -> Result<Value, ExecError> {
-        self.push_frame(stack, entry, args, None)?;
+        self.args = args.to_vec();
+        self.push_frame(stack, entry, None)?;
         let mut last_ret = Value::Int(0);
         // Copy the reference out of `self` so instruction borrows don't
         // pin `self` for the duration of the loop.
@@ -1307,19 +1305,19 @@ impl<'p> DecVm<'p> {
                         args,
                         edge_site,
                     } => {
-                        let argv: Vec<Value> =
-                            args.iter().map(|a| operand(&frame.regs, *a)).collect();
+                        self.args.clear();
+                        self.args
+                            .extend(args.iter().map(|a| operand(&frame.regs, *a)));
                         self.stats.cycles += self.opts.cost.call_overhead;
                         self.record_edge(fid, *edge_site);
-                        let dst = *dst;
-                        let callee = FuncId(*callee);
-                        self.push_frame(stack, callee, &argv, dst)?;
+                        self.push_frame(stack, FuncId(*callee), *dst)?;
                         continue 'outer;
                     }
                     DInstr::CallExtern { dst, func, args } => {
-                        let argv: Vec<Value> =
-                            args.iter().map(|a| operand(&frame.regs, *a)).collect();
-                        let r = func.call(&argv);
+                        self.args.clear();
+                        self.args
+                            .extend(args.iter().map(|a| operand(&frame.regs, *a)));
+                        let r = func.call(&self.args);
                         self.stats.cycles += self.opts.cost.libc_call_cost;
                         if let Some(d) = dst {
                             frame.regs[*d as usize] = r;
@@ -1334,15 +1332,15 @@ impl<'p> DecVm<'p> {
                         if callee.index() >= dec.funcs.len() {
                             return Err(ExecError::BadIndirectTarget);
                         }
-                        let argv: Vec<Value> =
-                            args.iter().map(|a| operand(&frame.regs, *a)).collect();
+                        self.args.clear();
+                        self.args
+                            .extend(args.iter().map(|a| operand(&frame.regs, *a)));
                         if dec.funcs[callee.index()].defined {
                             self.stats.cycles += self.opts.cost.call_overhead;
-                            let dst = *dst;
-                            self.push_frame(stack, callee, &argv, dst)?;
+                            self.push_frame(stack, callee, *dst)?;
                             continue 'outer;
                         } else {
-                            let r = dec.extern_fns[callee.index()].call(&argv);
+                            let r = dec.extern_fns[callee.index()].call(&self.args);
                             self.stats.cycles += self.opts.cost.libc_call_cost;
                             if let Some(d) = dst {
                                 frame.regs[*d as usize] = r;
