@@ -8,10 +8,11 @@
 //!    relaxation, across the full benchmark suite (extends Table 1 with
 //!    the sharper analysis the paper sketches).
 //!
-//! Every sweep point is an independent pipeline+VM measurement, so each
-//! study fans out over all cores (`bench::par::par_map`) and prints its
-//! rows in order afterwards. `--json` records the combined wall time and
-//! simulated-instruction throughput in `BENCH_vm.json`.
+//! Every sweep point is an independent pipeline+VM measurement against
+//! one shared baseline run, so each study fans out over all cores
+//! (`slo_service::pool`) and prints its rows in order afterwards.
+//! `--json` records the combined wall time and the simulated-instruction
+//! throughput of the runs that executed in `BENCH_vm.json`.
 //!
 //! ```text
 //! ablation            # all three studies
@@ -20,24 +21,31 @@
 //! ablation legality   # only the legality-mode comparison
 //! ```
 
-use bench::par::par_map;
 use bench::report::{json_flag, record_table, TableStats};
 use slo::analysis::{
     analyze_program, correlation, relative_hotness, IspboConfig, LegalityConfig, WeightScheme,
 };
-use slo::pipeline::{compile, evaluate, evaluate_against, Evaluation, PipelineConfig};
-use slo::vm::VmOptions;
+use slo::pipeline::{
+    baseline_run, compile, evaluate_against, profile_run, Evaluation, PipelineConfig,
+};
+use slo::vm::{ExecOutcome, VmOptions};
+use slo_ir::{fnv1a, printer::print_program};
+use slo_service::pool::par_map_bounded;
 use slo_transform::HeuristicsConfig;
 use slo_workloads::{all, mcf, InputSet};
 
 /// Simulated (instructions, cycles) one study executed, for `--json`.
 type SimWork = (u64, u64);
 
-fn sim(e: &Evaluation) -> SimWork {
-    (
-        e.baseline_instructions + e.optimized_instructions,
-        e.baseline_cycles + e.optimized_cycles,
-    )
+/// The work of a shared baseline run and of the transformed runs
+/// evaluated against it: `(transformed types, evaluation)` pairs, where
+/// an empty plan ran nothing.
+fn sim<'a>(base: &ExecOutcome, evals: impl Iterator<Item = (usize, &'a Evaluation)>) -> SimWork {
+    evals
+        .filter(|&(transformed, _)| transformed > 0)
+        .fold((base.stats.instructions, base.stats.cycles), |w, (_, e)| {
+            (w.0 + e.optimized_instructions, w.1 + e.optimized_cycles)
+        })
 }
 
 fn main() {
@@ -51,7 +59,7 @@ fn main() {
         work.push(threshold_sweep());
     }
     if matches!(which.as_str(), "all" | "exponent") {
-        exponent_sweep();
+        work.push(exponent_sweep());
     }
     if matches!(which.as_str(), "all" | "legality") {
         legality_modes();
@@ -80,8 +88,10 @@ fn interleave_vs_peel() -> SimWork {
         n: 100_000,
         passes: 12,
     });
+    let opts = VmOptions::default();
+    let base = baseline_run(&prog, &opts).expect("baseline");
     let configs = [("peel (separate)", false), ("interleave", true)];
-    let evals = par_map(&configs, |&(_, prefer)| {
+    let arms = par_map_bounded(0, &configs, |&(_, prefer)| {
         let cfg = PipelineConfig::builder()
             .heuristics(
                 HeuristicsConfig::builder()
@@ -91,19 +101,19 @@ fn interleave_vs_peel() -> SimWork {
             )
             .build();
         let res = compile(&prog, &WeightScheme::Ispbo, &cfg).expect("pipeline");
-        evaluate(&prog, &res.program, &VmOptions::default()).expect("evaluate")
+        let eval = evaluate_against(&base, &res.plan, &res.program, &opts).expect("evaluate");
+        let text = fnv1a(print_program(&res.program).as_bytes());
+        (res.plan.num_transformed(), text, eval)
     });
-    for ((label, _), eval) in configs.iter().zip(&evals) {
+    assert_ne!(arms[0].1, arms[1].1, "the two arms compiled one program");
+    for ((label, _), (_, _, eval)) in configs.iter().zip(&arms) {
         println!("  {label:<18} {:+7.1}%", eval.speedup_percent());
     }
     println!(
         "(the paper: both avoid link pointers; interleaving needs a compile-time size bound)
 "
     );
-    evals
-        .iter()
-        .map(sim)
-        .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
+    sim(&base, arms.iter().map(|(t, _, e)| (*t, e)))
 }
 
 /// Sweep T_s on mcf under PBO: too low leaves cold fields in the root,
@@ -116,18 +126,18 @@ fn threshold_sweep() -> SimWork {
         iters: 40,
         skew: 0,
     });
-    // the instrumented profile run doubles as every sweep point's baseline
-    let profile = slo::vm::run(&prog, &VmOptions::profiling()).expect("profile");
+    // the instrumented profile run is every sweep point's baseline
+    let opts = VmOptions::default();
+    let profile = profile_run(&prog, &opts).expect("profile");
     let sweep = [0.5, 1.0, 3.0, 7.5, 15.0, 30.0, 60.0];
-    let rows = par_map(&sweep, |&ts| {
+    let rows = par_map_bounded(0, &sweep, |&ts| {
         let cfg = PipelineConfig::builder().split_threshold(ts).build();
         let res = compile(&prog, &WeightScheme::Pbo(&profile.feedback), &cfg).expect("pipeline");
         let mut split = 0;
         for t in res.plan.types.values() {
             split += t.sd_count().0;
         }
-        let eval =
-            evaluate_against(&profile, &res.program, &VmOptions::default()).expect("evaluate");
+        let eval = evaluate_against(&profile, &res.plan, &res.program, &opts).expect("evaluate");
         (res.plan.num_transformed(), split, eval)
     });
     for (&ts, (transformed, split, eval)) in sweep.iter().zip(&rows) {
@@ -137,15 +147,13 @@ fn threshold_sweep() -> SimWork {
         );
     }
     println!("(the paper's default: 3.0 with PBO)\n");
-    rows.iter()
-        .map(|(_, _, e)| sim(e))
-        .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
+    sim(&profile, rows.iter().map(|(t, _, e)| (*t, e)))
 }
 
 /// Sweep the exponent E: correlation of the resulting hotness ranking to
 /// the PBO baseline (the paper: E = 1.5 "improves the separability
 /// between hot and cold fields"; 1.0 is ISPBO.NO).
-fn exponent_sweep() {
+fn exponent_sweep() -> SimWork {
     println!("== ablation: ISPBO scaling exponent E (mcf node_t) ==");
     println!("{:>6} {:>8} {:>8}", "E", "r", "rare%");
     let prog = mcf::build_config(mcf::McfConfig {
@@ -154,14 +162,14 @@ fn exponent_sweep() {
         skew: 0,
     });
     let node = prog.types.record_by_name("node").expect("node");
-    let fb = slo::collect_profile(&prog).expect("profile");
-    let pbo = relative_hotness(&prog, node, &WeightScheme::Pbo(&fb));
+    let profile = profile_run(&prog, &VmOptions::default()).expect("profile");
+    let pbo = relative_hotness(&prog, node, &WeightScheme::Pbo(&profile.feedback));
     let rare_idx = mcf::NODE_FIELDS
         .iter()
         .position(|f| *f == "firstout")
         .expect("field");
     let sweep = [0.5, 1.0, 1.25, 1.5, 2.0, 3.0];
-    let rows = par_map(&sweep, |&e| {
+    let rows = par_map_bounded(0, &sweep, |&e| {
         let scheme = WeightScheme::IspboCustom(IspboConfig {
             exponent: e,
             ..Default::default()
@@ -173,6 +181,7 @@ fn exponent_sweep() {
         println!("{e:>6.2} {r:>8.3} {rare:>8.2}");
     }
     println!("(the paper's default: 1.50; rare% = firstout's relative hotness, PBO sees ~1%)\n");
+    sim(&profile, std::iter::empty())
 }
 
 /// Compare legality modes over the whole suite: the points-to-justified
@@ -184,7 +193,7 @@ fn legality_modes() {
         "Benchmark", "Types", "strict", "pointsto", "blanket"
     );
     let workloads = all(InputSet::Training);
-    let rows = par_map(&workloads, |w| {
+    let rows = par_map_bounded(0, &workloads, |w| {
         let strict = analyze_program(&w.program, &LegalityConfig::default()).num_legal();
         let pointsto = analyze_program(
             &w.program,

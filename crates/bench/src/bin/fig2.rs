@@ -4,14 +4,14 @@
 
 use slo::advisor::{render_report, render_vcg, AdvisorInput};
 use slo::analysis::{affinity_graphs, attribute_samples, block_frequencies, WeightScheme};
-use slo::pipeline::PipelineConfig;
+use slo::pipeline::{profile_run, PipelineConfig};
 use slo_vm::VmOptions;
 use slo_workloads::mcf::build;
 use slo_workloads::InputSet;
 
 fn main() {
     let prog = build(InputSet::Training);
-    let prof = slo_vm::run(&prog, &VmOptions::profiling()).expect("profiling run");
+    let prof = profile_run(&prog, &VmOptions::default()).expect("profile run");
     let scheme = WeightScheme::Pbo(&prof.feedback);
 
     let res = slo::compile(&prog, &scheme, &PipelineConfig::default()).expect("pipeline");

@@ -8,9 +8,9 @@
 //! driver's wall time in `BENCH_vm.json` (this table executes nothing on
 //! the VM, so its simulated-instruction count is zero).
 
-use bench::par::par_map;
 use bench::report::{json_flag, record_table, TableStats};
 use slo::analysis::{analyze_program, LegalityConfig};
+use slo_service::pool::par_map_bounded;
 use slo_workloads::{all, InputSet};
 
 fn main() {
@@ -27,7 +27,7 @@ fn main() {
     let workloads = all(InputSet::Training);
     let n = workloads.len();
     // (types, legal, relaxed-legal) per benchmark, computed in parallel
-    let counts = par_map(&workloads, |w| {
+    let counts = par_map_bounded(0, &workloads, |w| {
         let strict = analyze_program(&w.program, &LegalityConfig::default());
         let relaxed = analyze_program(
             &w.program,

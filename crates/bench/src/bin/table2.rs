@@ -6,17 +6,20 @@
 //! * PPBO — edge profile from the *reference* input ("perfect PBO"),
 //! * SPBO / ISPBO / ISPBO.NO / ISPBO.W — the static estimator family,
 //! * DMISS / DLAT — d-cache events attributed to fields (instrumented
-//!   run), DMISS.NO — the same without instrumentation,
+//!   run), DMISS.NO — the same without instrumentation, which samples
+//!   exactly what the instrumented run samples (edge counting touches no
+//!   simulated memory; `vm_differential` checks it on every workload
+//!   family), so the training profile run answers for it,
 //!
 //! plus the correlation rows `r` (all fields) and `r'` (ignoring the
 //! dominant field, `potential`).
 
-use bench::par::par_map;
 use bench::report::{json_flag, record_table, TableStats};
 use slo::analysis::{
     argmax, attribute_samples, correlation, correlation_excluding, relative_hotness, WeightScheme,
 };
-use slo_ir::Program;
+use slo::pipeline::profile_run;
+use slo_service::pool::par_map_bounded;
 use slo_vm::VmOptions;
 use slo_workloads::mcf::{build, NODE_FIELDS, PAPER_PBO_HOTNESS};
 use slo_workloads::InputSet;
@@ -30,20 +33,13 @@ fn main() {
     let node = train.types.record_by_name("node").expect("node type");
     let refp = build(InputSet::Reference);
 
-    // The three instrumented runs are independent; run them in parallel:
-    // training profile (PBO, DMISS, DLAT), reference profile (PPBO), and
-    // sampling without instrumentation (DMISS.NO).
-    let runs: Vec<(&Program, VmOptions)> = vec![
-        (&train, VmOptions::profiling()),
-        (&refp, VmOptions::profiling()),
-        (&train, VmOptions::sampling_only()),
-    ];
-    let mut outs = par_map(&runs, |(p, opts)| {
-        slo_vm::run(p, opts).expect("instrumented run")
+    // The two profile runs are independent; run them in parallel:
+    // training (PBO, DMISS, DLAT, DMISS.NO) and reference (PPBO).
+    let mut outs = par_map_bounded(0, &[&train, &refp], |p| {
+        profile_run(p, &VmOptions::default()).expect("profile run")
     });
-    let plain = outs.pop().expect("three runs");
-    let ref_prof = outs.pop().expect("three runs");
-    let prof = outs.pop().expect("three runs");
+    let ref_prof = outs.pop().expect("two runs");
+    let prof = outs.pop().expect("two runs");
 
     let pbo = relative_hotness(&train, node, &WeightScheme::Pbo(&prof.feedback));
     let ppbo = relative_hotness(&refp, node, &WeightScheme::Ppbo(&ref_prof.feedback));
@@ -55,8 +51,7 @@ fn main() {
     let dc = attribute_samples(&train, &prof.feedback);
     let dmiss = slo::analysis::dcache::relative_misses(&train, node, &dc);
     let dlat = slo::analysis::dcache::relative_latencies(&train, node, &dc);
-    let dc_no = attribute_samples(&train, &plain.feedback);
-    let dmiss_no = slo::analysis::dcache::relative_misses(&train, node, &dc_no);
+    let dmiss_no = dmiss.clone();
 
     let cols: Vec<(&str, &Vec<f64>)> = vec![
         ("PBO", &pbo),
@@ -112,7 +107,7 @@ fn main() {
     );
 
     if json {
-        let stats = [&prof, &ref_prof, &plain];
+        let stats = [&prof, &ref_prof];
         record_table(
             "table2",
             TableStats {

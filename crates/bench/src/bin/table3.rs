@@ -7,13 +7,15 @@
 //! (ISPBO) configurations are shown, as in the paper.
 //!
 //! The per-benchmark measurements are independent, so they run in
-//! parallel across all cores (`bench::par::par_map`); rows print in
-//! table order once every worker is done. `--json` additionally records
-//! wall time and simulated-instruction throughput in `BENCH_vm.json`.
+//! parallel across all cores (`slo_service::pool`); rows print in
+//! table order once every worker is done. A benchmark's rows share one
+//! baseline run. `--json` additionally records wall time and the
+//! simulated-instruction throughput of the runs that executed in
+//! `BENCH_vm.json`.
 
-use bench::par::par_map;
 use bench::report::{json_flag, record_table, TableStats};
 use bench::{measure, opt_pct, pct};
+use slo_service::pool::par_map_bounded;
 use slo_workloads::{all, InputSet, Workload};
 
 fn main() {
@@ -21,17 +23,21 @@ fn main() {
     let json = json_flag(&mut args);
     let t0 = std::time::Instant::now();
 
-    // one (workload, pbo) config per output row
-    let configs: Vec<(Workload, bool)> = all(InputSet::Training)
+    // one (workload, pbo settings) config per benchmark, one output row
+    // per setting
+    let configs: Vec<(Workload, &[bool])> = all(InputSet::Training)
         .into_iter()
-        .flat_map(|w| {
+        .map(|w| {
             let both = matches!(w.name, "181.mcf" | "moldyn");
             let pbos: &[bool] = if both { &[false, true] } else { &[false] };
-            pbos.iter().map(move |&pbo| (w.clone(), pbo))
+            (w, pbos)
         })
         .collect();
 
-    let rows = par_map(&configs, |(w, pbo)| measure(w, *pbo));
+    let rows: Vec<_> = par_map_bounded(0, &configs, |(w, pbos)| measure(w, pbos))
+        .into_iter()
+        .flatten()
+        .collect();
 
     println!("Table 3 — transformed types and performance impact");
     println!(

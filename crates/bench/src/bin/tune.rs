@@ -11,8 +11,8 @@
 //! ```
 
 use bench::measure;
-use bench::par::par_map;
 use bench::report::{json_flag, record_table, TableStats};
+use slo_service::pool::par_map_bounded;
 use slo_workloads::{PaperRow, Workload};
 
 fn main() {
@@ -76,8 +76,8 @@ fn main() {
         .expect("pipeline");
         // baseline and optimized stat runs are independent
         let progs = [(&w.program, "baseline "), (&res.program, "optimized")];
-        let outs = par_map(&progs, |(p, _)| {
-            slo_vm::run(p, &slo_vm::VmOptions::default()).expect("run")
+        let outs = par_map_bounded(0, &progs, |(p, _)| {
+            slo::pipeline::baseline_run(p, &slo_vm::VmOptions::default()).expect("run")
         });
         for ((_, tag), out) in progs.iter().zip(&outs) {
             println!(
@@ -93,7 +93,7 @@ fn main() {
             );
         }
     }
-    let row = measure(&w, pbo);
+    let row = measure(&w, &[pbo]).remove(0);
     println!(
         "perf {:+.1}%  T_t={} S/D={}/{}  (wall {:?})",
         row.perf,

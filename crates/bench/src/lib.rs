@@ -1,11 +1,10 @@
 //! Shared helpers for the experiment binaries (tables, figures, case
 //! studies) and the Criterion benches.
 
-pub mod par;
 pub mod report;
 
 use slo::analysis::WeightScheme;
-use slo::pipeline::{compile, evaluate, evaluate_against, PipelineConfig};
+use slo::pipeline::{baseline_run, compile, evaluate_against, profile_run, PipelineConfig};
 use slo_vm::VmOptions;
 use slo_workloads::Workload;
 
@@ -41,56 +40,100 @@ pub struct PerfRow {
     pub perf: f64,
     /// The paper's value for the same configuration, if printed.
     pub paper: Option<f64>,
-    /// Simulated instructions retired (baseline + optimized runs).
+    /// Simulated instructions retired by the runs this row executed:
+    /// its transformed run unless the plan is empty, plus, in the first
+    /// row of a workload, the baseline run all its rows share.
     pub instructions: u64,
-    /// Simulated cycles (baseline + optimized runs).
+    /// Simulated cycles of the same runs.
     pub cycles: u64,
 }
 
-/// Run the full pipeline on a workload (optionally with PBO) and measure
-/// the before/after cycle change on the simulated machine.
+/// Run the full pipeline on a workload once per entry of `pbos` (PBO
+/// when `true`, ISPBO otherwise) and measure each before/after cycle
+/// change on the simulated machine. The rows share one baseline run:
+/// the instrumented profile run when a row uses PBO, a plain run
+/// otherwise.
 ///
 /// # Panics
 ///
 /// Panics when compilation or execution fails — experiment binaries want
 /// loud failures.
-pub fn measure(w: &Workload, pbo: bool) -> PerfRow {
-    // the instrumented profile run doubles as the baseline evaluation
-    let profile =
-        pbo.then(|| slo_vm::run(&w.program, &VmOptions::profiling()).expect("profile run"));
-    let scheme = match &profile {
-        Some(p) => WeightScheme::Pbo(&p.feedback),
-        None => WeightScheme::Ispbo,
-    };
-    let res = compile(&w.program, &scheme, &PipelineConfig::default()).expect("pipeline");
-    let plain = VmOptions::default();
-    let eval = match &profile {
-        Some(p) => evaluate_against(p, &res.program, &plain),
-        None => evaluate(&w.program, &res.program, &plain),
+pub fn measure(w: &Workload, pbos: &[bool]) -> Vec<PerfRow> {
+    let opts = VmOptions::default();
+    let base = if pbos.contains(&true) {
+        profile_run(&w.program, &opts)
+    } else {
+        baseline_run(&w.program, &opts)
     }
-    .expect("evaluate");
-
-    let mut split_fields = 0;
-    let mut dead_fields = 0;
-    for t in res.plan.types.values() {
-        let (s, d) = t.sd_count();
-        split_fields += s;
-        dead_fields += d;
-    }
-    PerfRow {
-        name: w.name,
-        pbo,
-        types: w.paper.types,
-        transformed: res.plan.num_transformed(),
-        split_fields,
-        dead_fields,
-        perf: eval.speedup_percent(),
-        paper: if pbo {
-            w.paper.perf_pbo
+    .expect("baseline run");
+    let mut rows = Vec::with_capacity(pbos.len());
+    for &pbo in pbos {
+        let scheme = if pbo {
+            WeightScheme::Pbo(&base.feedback)
         } else {
-            w.paper.perf_nopbo
-        },
-        instructions: eval.baseline_instructions + eval.optimized_instructions,
-        cycles: eval.baseline_cycles + eval.optimized_cycles,
+            WeightScheme::Ispbo
+        };
+        let res = compile(&w.program, &scheme, &PipelineConfig::default()).expect("pipeline");
+        let eval = evaluate_against(&base, &res.plan, &res.program, &opts).expect("evaluate");
+
+        let mut split_fields = 0;
+        let mut dead_fields = 0;
+        for t in res.plan.types.values() {
+            let (s, d) = t.sd_count();
+            split_fields += s;
+            dead_fields += d;
+        }
+        let transformed = res.plan.num_transformed();
+        let first = rows.is_empty();
+        let executed = |base: u64, optimized: u64| {
+            (if first { base } else { 0 }) + (if transformed > 0 { optimized } else { 0 })
+        };
+        rows.push(PerfRow {
+            name: w.name,
+            pbo,
+            types: w.paper.types,
+            transformed,
+            split_fields,
+            dead_fields,
+            perf: eval.speedup_percent(),
+            paper: if pbo {
+                w.paper.perf_pbo
+            } else {
+                w.paper.perf_nopbo
+            },
+            instructions: executed(base.stats.instructions, eval.optimized_instructions),
+            cycles: executed(base.stats.cycles, eval.optimized_cycles),
+        });
+    }
+    rows
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use slo_workloads::{census, PaperRow, CENSUS_SPECS};
+
+    #[test]
+    fn measure_counts_only_the_runs_that_executed() {
+        // ISPBO transforms none of the smallest census program's types
+        let w = Workload {
+            name: "milc",
+            program: census::generate(&CENSUS_SPECS[0], 1),
+            paper: PaperRow {
+                types: 20,
+                legal: 5,
+                relax: 12,
+                transformed: 0,
+                perf_pbo: None,
+                perf_nopbo: None,
+            },
+        };
+        let base = baseline_run(&w.program, &VmOptions::default()).expect("baseline");
+        let rows = measure(&w, &[false, false]);
+        assert_eq!(rows[0].transformed, 0);
+        assert_eq!(rows[0].perf, 0.0);
+        assert_eq!(rows[0].instructions, base.stats.instructions);
+        assert_eq!(rows[0].cycles, base.stats.cycles);
+        assert_eq!((rows[1].instructions, rows[1].cycles), (0, 0));
     }
 }

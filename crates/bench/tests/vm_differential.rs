@@ -163,6 +163,44 @@ fn instrumented_stats_minus_instrument_cycles_equal_plain_stats() {
 }
 
 #[test]
+fn edge_instrumentation_leaves_samples_and_strides_unchanged() {
+    // Table 2 reads DMISS.NO (sampling without instrumentation) off the
+    // training profile run; that is exact only if edge counting never
+    // moves a d-cache sample or a stride record.
+    for (name, prog) in small_suite() {
+        for sampling in [
+            VmOptions::sampling_only(),
+            VmOptions::sampling_only().structured(),
+        ] {
+            let engine = sampling.engine;
+            let profiling = VmOptions {
+                collect_edges: true,
+                ..sampling.clone()
+            };
+            let s = run(&prog, &sampling)
+                .unwrap_or_else(|e| panic!("{name}/{engine:?} sampling: {e}"))
+                .feedback;
+            let p = run(&prog, &profiling)
+                .unwrap_or_else(|e| panic!("{name}/{engine:?} profiling: {e}"))
+                .feedback;
+            assert_eq!(s.sample_period, p.sample_period, "{name}/{engine:?}");
+            let mut funcs: Vec<&String> = s.funcs.keys().chain(p.funcs.keys()).collect();
+            funcs.sort();
+            funcs.dedup();
+            let mut sampled = 0;
+            for f in funcs {
+                let (sf, pf) = (s.func(f).cloned(), p.func(f).cloned());
+                let (sf, pf) = (sf.unwrap_or_default(), pf.unwrap_or_default());
+                assert_eq!(sf.samples, pf.samples, "{name}/{engine:?}/{f}: samples");
+                assert_eq!(sf.strides, pf.strides, "{name}/{engine:?}/{f}: strides");
+                sampled += sf.samples.len();
+            }
+            assert!(sampled > 0, "{name}/{engine:?}: nothing sampled");
+        }
+    }
+}
+
+#[test]
 fn stride_table_cap_and_tie_break_match_reference() {
     // One load site (bb5, index 1) sees the element deltas 1..=39 once
     // each (only the first 32 fit the table), then +3 and +5 ten times

@@ -21,7 +21,7 @@
 
 use slo::analysis::{analyze_program, LegalityConfig, WeightScheme};
 use slo::obs::Recorder;
-use slo::pipeline::{compile_with, evaluate, evaluate_against, PipelineConfig};
+use slo::pipeline::{baseline_run, compile_with, evaluate_against, PipelineConfig};
 use slo::vm::{ExecOutcome, Feedback, VmOptions};
 use slo::SloError;
 use slo_ir::parser::parse;
@@ -194,7 +194,7 @@ fn collect_feedback_with(
         return Ok((Some(fb), None));
     }
     // collect on the fly
-    let mut run = slo::profile_run_with(prog, rec)?;
+    let mut run = slo::profile_run(prog, &VmOptions::builder().trace(rec.clone()).build())?;
     let fb = std::mem::take(&mut run.feedback);
     Ok((Some(fb), Some(run)))
 }
@@ -415,10 +415,11 @@ fn cmd_optimize(args: &[String]) -> Result<String> {
 
     if opts.has("measure") {
         let vm_opts = VmOptions::builder().trace(rec.clone()).build();
-        let eval = match &profile_run {
-            Some(run) => evaluate_against(run, &res.program, &vm_opts)?,
-            None => evaluate(&prog, &res.program, &vm_opts)?,
+        let base = match profile_run {
+            Some(run) => run,
+            None => baseline_run(&prog, &vm_opts)?,
         };
+        let eval = evaluate_against(&base, &res.plan, &res.program, &vm_opts)?;
         let _ = writeln!(
             s,
             "cycles {} -> {} ({:+.1}%)",

@@ -517,7 +517,7 @@ fn traced_compile_passes_trace_check_and_output_is_unchanged() {
         "parse",
         "legality",
         "escape",
-        "profile",
+        "hotness",
         "plan",
         "transform",
         "verify",

@@ -178,7 +178,7 @@ fn readme_observability_snippet_runs_verbatim() {
         "parse",
         "legality",
         "escape",
-        "profile",
+        "hotness",
         "plan",
         "transform",
         "verify",

@@ -4,8 +4,9 @@
 //! pull item indices off a shared atomic counter, compute results
 //! locally, and the caller reassembles them in input order — so a
 //! parallel batch is a permutation-free, bit-identical replay of the
-//! sequential one. `bench::par` delegates here; this crate owns the
-//! implementation because the service is its primary consumer.
+//! sequential one. The experiment drivers in `bench` map over it too
+//! (`workers == 0`, all cores); this crate owns the implementation
+//! because the service is its primary consumer.
 //!
 //! The supervised variant ([`par_map_supervised`]) adds the chaos
 //! plan's `PoolWorkerPanic` site: a firing query kills the pulling
@@ -119,8 +120,10 @@ mod tests {
     #[test]
     fn empty_and_singleton() {
         let none: Vec<u32> = vec![];
-        assert!(par_map_bounded(4, &none, |&x| x).is_empty());
-        assert_eq!(par_map_bounded(4, &[7u32], |&x| x + 1), vec![8]);
+        for workers in [0, 4] {
+            assert!(par_map_bounded(workers, &none, |&x| x).is_empty());
+            assert_eq!(par_map_bounded(workers, &[7u32], |&x| x + 1), vec![8]);
+        }
     }
 
     #[test]
@@ -143,12 +146,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "boom")]
     fn worker_panic_propagates() {
         let items: Vec<u32> = (0..64).collect();
-        par_map_bounded(4, &items, |&x| {
-            assert!(x != 42, "boom");
-            x
-        });
+        for workers in [0, 4] {
+            let payload = std::panic::catch_unwind(|| {
+                par_map_bounded(workers, &items, |&x| {
+                    assert!(x != 42, "boom");
+                    x
+                })
+            })
+            .expect_err("the worker's panic reaches the caller");
+            let msg = payload
+                .downcast_ref::<&str>()
+                .expect("the original payload");
+            assert_eq!(*msg, "boom", "workers {workers}");
+        }
     }
 }

@@ -35,7 +35,7 @@ use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::pool::par_map_supervised;
 use crate::store::AnalysisStore;
 use slo::analysis::{ipa_fingerprint, WeightScheme};
-use slo::{Analysis, Evaluation};
+use slo::{Analysis, SloError};
 use slo_chaos::{Clock, FaultPlan, RetryPolicy};
 use slo_ir::{fnv1a, printer::print_program, Program};
 use slo_vm::{ExecError, ExecOutcome, Feedback, VmOptions};
@@ -380,48 +380,36 @@ impl Service {
         }
 
         // --- profile (PBO only) --------------------------------------
-        // The instrumented run doubles as the baseline evaluation: its
-        // stats minus the edge-instrumentation cycles are exactly those
-        // of a plain run under the same step budget.
+        // Every VM run of the job runs under the job's step budget and
+        // the service's recorder and fault plan. The instrumented run
+        // doubles as the baseline run.
+        let opts = VmOptions::builder()
+            .step_limit(job.budget.steps)
+            .trace(self.trace.clone())
+            .faults(self.chaos.clone())
+            .build();
         let mut profiled: Option<ExecOutcome> = None;
         let owned_fb: Option<Feedback> = match &job.scheme {
             SchemeSpec::Pbo => {
-                let opts = VmOptions::builder()
-                    .collect_edges(true)
-                    .sample_dcache(true)
-                    .step_limit(job.budget.steps)
-                    .trace(self.trace.clone())
-                    .faults(self.chaos.clone())
-                    .build();
                 let t = Instant::now();
-                let run = {
-                    let mut s = self.trace.span("pipeline", "profile");
-                    s.arg("instrumented", true);
-                    slo_vm::run(prog, &opts)
-                };
+                let run = slo::profile_run(prog, &opts);
                 jm.borrow_mut().exec += t.elapsed();
                 match run {
                     Ok(mut out) => {
                         let fb = std::mem::take(&mut out.feedback);
-                        out.stats = out.stats.without_instrumentation();
                         profiled = Some(out);
                         Some(fb)
                     }
-                    Err(ExecError::StepLimit) => {
-                        return JobStatus::Advisory {
-                            reason: Degradation::Budget(
-                                "profile collection exceeded the step budget".into(),
-                            ),
-                            report: None,
+                    // Without a profile there is nothing to advise on.
+                    Err(e) => {
+                        return match run_failure("profiling run", e) {
+                            Degradation::Verification(msg) => JobStatus::Failed(msg),
+                            reason => JobStatus::Advisory {
+                                reason,
+                                report: None,
+                            },
                         }
                     }
-                    Err(ExecError::Injected(what)) => {
-                        return JobStatus::Advisory {
-                            reason: Degradation::Fault(format!("profiling run: {what}")),
-                            report: None,
-                        }
-                    }
-                    Err(e) => return JobStatus::Failed(format!("profiling run: {e}")),
                 }
             }
             SchemeSpec::PboProfile(text) => match Feedback::from_text(text) {
@@ -534,9 +522,8 @@ impl Service {
         }
 
         // --- BE ------------------------------------------------------
-        // An empty plan leaves the program as it is, and the VM is
-        // deterministic: the baseline run is then the transformed run
-        // too, and the printed input the transformed text.
+        // An empty plan leaves the program as it is: no rewrite, and the
+        // printed input is the transformed text.
         let res = if analysis.plan.num_transformed() == 0 {
             None
         } else {
@@ -555,91 +542,39 @@ impl Service {
         };
 
         // --- differential verification + evaluation ------------------
-        let opts = VmOptions::builder()
-            .step_limit(job.budget.steps)
-            .trace(self.trace.clone())
-            .faults(self.chaos.clone())
-            .build();
         let degrade = |reason: Degradation| JobStatus::Advisory {
             reason,
             report: Some(advisory_report(prog, &analysis)),
         };
         let base = match profiled {
-            Some(o) => Ok(o),
+            Some(o) => o,
             None => {
                 let t = Instant::now();
-                let base = slo_vm::run(prog, &opts);
+                let base = slo::baseline_run(prog, &opts);
                 jm.borrow_mut().exec += t.elapsed();
-                base
+                match base {
+                    Ok(o) => o,
+                    Err(e) => return degrade(run_failure("baseline run", e)),
+                }
             }
         };
-        let base = match base {
-            Ok(o) => o,
-            Err(ExecError::StepLimit) => {
-                return degrade(Degradation::Budget(
-                    "baseline run exceeded the step budget".into(),
-                ))
+        if res.is_some() {
+            if let Some(d) = over_deadline(deadline) {
+                return degrade(d);
             }
-            Err(ExecError::Injected(what)) => {
-                return degrade(Degradation::Fault(format!("baseline run: {what}")))
-            }
-            Err(e) => {
-                return degrade(Degradation::Verification(format!(
-                    "baseline run faulted: {e}"
-                )))
-            }
-        };
-        let Some(res) = res else {
-            return JobStatus::Optimized(Optimized {
-                transformed: text,
-                num_transformed: 0,
-                eval: Evaluation {
-                    baseline_cycles: base.stats.cycles,
-                    optimized_cycles: base.stats.cycles,
-                    baseline_instructions: base.stats.instructions,
-                    optimized_instructions: base.stats.instructions,
-                },
-                ipa_fingerprint: ipa_fingerprint(&analysis.ipa),
-            });
-        };
-        if let Some(d) = over_deadline(deadline) {
-            return degrade(d);
         }
         let t = Instant::now();
-        let opt = slo_vm::run(&res.program, &opts);
+        let optimized = res.as_ref().map_or(prog, |r| &r.program);
+        let eval = slo::evaluate_against(&base, &analysis.plan, optimized, &opts);
         jm.borrow_mut().exec += t.elapsed();
-        let opt = match opt {
-            Ok(o) => o,
-            Err(ExecError::StepLimit) => {
-                return degrade(Degradation::Budget(
-                    "transformed run exceeded the step budget".into(),
-                ))
-            }
-            Err(ExecError::Injected(what)) => {
-                return degrade(Degradation::Fault(format!("transformed run: {what}")))
-            }
-            Err(e) => {
-                return degrade(Degradation::Verification(format!(
-                    "transformed run faulted: {e}"
-                )))
-            }
+        let eval = match eval {
+            Ok(e) => e,
+            Err(e) => return degrade(run_failure("transformed run", e)),
         };
-        if base.exit != opt.exit {
-            return degrade(Degradation::Verification(format!(
-                "exit mismatch: baseline {:?}, transformed {:?}",
-                base.exit, opt.exit
-            )));
-        }
-
         JobStatus::Optimized(Optimized {
-            transformed: print_program(&res.program),
-            num_transformed: res.plan.num_transformed(),
-            eval: Evaluation {
-                baseline_cycles: base.stats.cycles,
-                optimized_cycles: opt.stats.cycles,
-                baseline_instructions: base.stats.instructions,
-                optimized_instructions: opt.stats.instructions,
-            },
+            transformed: res.map_or(text, |r| print_program(&r.program)),
+            num_transformed: analysis.plan.num_transformed(),
+            eval,
             ipa_fingerprint: ipa_fingerprint(&analysis.ipa),
         })
     }
@@ -722,6 +657,18 @@ fn quiet_catch_unwind<R>(
     let result = catch_unwind(body);
     SUPPRESS_PANIC_OUTPUT.with(|s| s.set(false));
     result
+}
+
+/// Where a VM run of `what` that ended in `e` lands on the ladder: an
+/// exhausted step budget or an injected fault is transient, a machine
+/// fault or a changed result is a verification failure.
+fn run_failure(what: &str, e: SloError) -> Degradation {
+    match e {
+        SloError::Budget(_) => Degradation::Budget(format!("{what} exceeded the step budget")),
+        SloError::Vm(ExecError::Injected(site)) => Degradation::Fault(format!("{what}: {site}")),
+        SloError::Vm(e) => Degradation::Verification(format!("{what} faulted: {e}")),
+        e => Degradation::Verification(format!("{what}: {e}")),
+    }
 }
 
 /// `Some(Degradation::Budget)` once `deadline` has passed.

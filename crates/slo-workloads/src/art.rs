@@ -157,7 +157,8 @@ pub fn build_config(cfg: ArtConfig) -> Program {
     let main = pb.declare("main", vec![], f64t);
     pb.define(main, |fb| {
         let n = fb.iconst(cfg.n);
-        let arr = fb.alloc(f1_ty, n.into());
+        // a constant count lets the planner interleave (§2.1)
+        let arr = fb.alloc(f1_ty, Operand::int(cfg.n));
         fb.store_global(gf1, arr.into());
         // initialize every field
         let base = fb.load_global(gf1);

@@ -61,8 +61,8 @@ pub mod serial;
 pub use error::SloError;
 pub use pipeline::{
     analysis_cache_key, analysis_cache_key_of_text, analyze, analyze_with, apply, apply_with,
-    collect_profile, compile, compile_with, evaluate, evaluate_against, profile_run_with, Analysis,
-    CompileResult, Evaluation, PhaseTimings, PipelineConfig, PipelineConfigBuilder,
+    baseline_run, collect_profile, compile, compile_with, evaluate, evaluate_against, profile_run,
+    Analysis, CompileResult, Evaluation, PhaseTimings, PipelineConfig, PipelineConfigBuilder,
 };
 pub use serial::{decode_analysis, encode_analysis, SerialError, ANALYSIS_VERSION};
 

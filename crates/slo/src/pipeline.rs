@@ -28,7 +28,7 @@ use slo_analysis::legality::analyze_all_units;
 use slo_analysis::schemes::{block_frequencies, WeightScheme};
 use slo_ir::{Fnv64, Program, RecordId};
 use slo_transform::{apply_plan, decide, HeuristicsConfig, RewriteError, TransformPlan};
-use slo_vm::Feedback;
+use slo_vm::{ExecOutcome, Feedback, VmOptions};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -223,7 +223,7 @@ pub fn analyze(prog: &Program, scheme: &WeightScheme<'_>, cfg: &PipelineConfig) 
 }
 
 /// [`analyze`] with a trace recorder: one span per phase — `legality`
-/// (FE), then `escape` / `profile` / `plan` (IPA). The disabled
+/// (FE), then `escape` / `hotness` / `plan` (IPA). The disabled
 /// recorder makes this identical to [`analyze`].
 pub fn analyze_with(
     prog: &Program,
@@ -250,7 +250,7 @@ pub fn analyze_with(
     // Profitability evidence: hotness under the chosen weighting
     // scheme, affinity graphs, read/write counts, d-cache attribution.
     let (graphs, counts, dcache) = {
-        let mut s = rec.span("pipeline", "profile");
+        let mut s = rec.span("pipeline", "hotness");
         s.arg("scheme", scheme.name());
         let freqs = block_frequencies(prog, scheme);
         let graphs = build_affinity_graphs(prog, &freqs);
@@ -358,10 +358,10 @@ pub fn compile(
 }
 
 /// [`compile`] with a trace recorder: the full FE → IPA → BE pipeline
-/// with one span per phase (`legality`, `escape`, `profile`, `plan`,
+/// with one span per phase (`legality`, `escape`, `hotness`, `plan`,
 /// `transform`, `verify`), all nested under a `compile` span. The
-/// `parse` and `profile`-collection spans are recorded by the callers
-/// that own those steps (CLI, service).
+/// `parse` span is recorded by the callers that own that step (CLI,
+/// service), and the `profile_run` span by [`profile_run`].
 ///
 /// # Errors
 ///
@@ -377,43 +377,48 @@ pub fn compile_with(
     apply_with(prog, &analyze_with(prog, scheme, cfg, rec), rec)
 }
 
-/// The PBO collection phase: run the instrumented program on the training
-/// input (the program itself encodes its input; callers model training vs
-/// reference inputs by building different programs) and return the
-/// feedback file.
+/// The PBO collection phase: the instrumented run of `prog` on its
+/// training input (the program encodes its input; callers model
+/// training vs reference inputs by building different programs). The
+/// caller's `opts` bring the step limit, fault plan and trace recorder,
+/// and edge counting and d-cache sampling are switched on here. The
+/// run's `feedback` is the profile, and the run itself can answer
+/// [`evaluate_against`] as the baseline run. It appears as a
+/// `profile_run` span with the VM's own `vm.run` span nested inside.
 ///
 /// # Errors
 ///
 /// Propagates VM execution errors as [`SloError::Vm`] (or
 /// [`SloError::Budget`] on a step-limit abort).
-pub fn collect_profile(prog: &Program) -> Result<Feedback, SloError> {
-    let out = slo_vm::run(prog, &slo_vm::VmOptions::profiling())?;
-    Ok(out.feedback)
-}
-
-/// [`collect_profile`] with a trace recorder, returning the whole
-/// instrumented training run: its `feedback` is the profile, and the
-/// run can stand in for the baseline run of [`evaluate_against`]. The
-/// run appears as a `profile` span (with the VM's own `vm.run` span
-/// nested inside it).
-///
-/// # Errors
-///
-/// See [`collect_profile`].
-pub fn profile_run_with(
-    prog: &Program,
-    rec: &slo_obs::Recorder,
-) -> Result<slo_vm::ExecOutcome, SloError> {
-    let mut span = rec.span("pipeline", "profile");
-    span.arg("instrumented", true);
-    let opts = slo_vm::VmOptions::builder()
-        .collect_edges(true)
-        .sample_dcache(true)
-        .trace(rec.clone())
-        .build();
+pub fn profile_run(prog: &Program, opts: &VmOptions) -> Result<ExecOutcome, SloError> {
+    let mut span = opts.trace.span("pipeline", "profile_run");
+    let opts = VmOptions {
+        collect_edges: true,
+        sample_dcache: true,
+        ..opts.clone()
+    };
     let out = slo_vm::run(prog, &opts)?;
     span.arg("instructions", out.stats.instructions);
     Ok(out)
+}
+
+/// The feedback file of a default-options [`profile_run`].
+///
+/// # Errors
+///
+/// See [`profile_run`].
+pub fn collect_profile(prog: &Program) -> Result<Feedback, SloError> {
+    Ok(profile_run(prog, &VmOptions::default())?.feedback)
+}
+
+/// A plain run of the untransformed program under `opts`: the baseline
+/// that [`evaluate_against`] compares transformed programs with.
+///
+/// # Errors
+///
+/// See [`profile_run`].
+pub fn baseline_run(prog: &Program, opts: &VmOptions) -> Result<ExecOutcome, SloError> {
+    Ok(slo_vm::run(prog, opts)?)
 }
 
 /// Before/after performance comparison on the simulated machine.
@@ -443,7 +448,7 @@ impl Evaluation {
 /// Run both versions on the simulated machine and compare cycle counts.
 ///
 /// Both programs execute on the pre-decoded engine by default
-/// ([`slo_vm::Engine::Decoded`], the [`slo_vm::VmOptions`] default);
+/// ([`slo_vm::Engine::Decoded`], the [`VmOptions`] default);
 /// pass `VmOptions::default().structured()` to force the structured
 /// reference interpreter. The two engines are observationally identical
 /// (same exit value, cycle count, and profile), so the choice only
@@ -451,44 +456,64 @@ impl Evaluation {
 ///
 /// # Errors
 ///
-/// Propagates VM execution errors; also fails if the two programs do not
-/// compute the same result (a transformation-correctness guard).
+/// See [`evaluate_against`].
 pub fn evaluate(
     baseline: &Program,
     optimized: &Program,
-    opts: &slo_vm::VmOptions,
+    opts: &VmOptions,
 ) -> Result<Evaluation, SloError> {
-    let b = slo_vm::run(baseline, opts)?;
-    evaluate_against(&b, optimized, opts)
+    compare(&baseline_run(baseline, opts)?, Some(optimized), opts)
 }
 
-/// [`evaluate`] against a finished run of the baseline program, such as
-/// the instrumented [`collect_profile`] run: its stats are taken
+/// [`evaluate`] against a finished run of the baseline program (a
+/// [`baseline_run`] or the instrumented [`profile_run`]), where
+/// `optimized` is what `plan` made of that program. The baseline's
+/// stats are taken
 /// [without instrumentation](slo_vm::ExecStats::without_instrumentation),
-/// which equals a plain run under `opts`, so PBO saves one VM run.
+/// which equals a plain run under `opts`. A plan that transforms
+/// nothing leaves the program as it is, and the VM is deterministic,
+/// so the baseline run answers for the optimized one and nothing runs.
 ///
 /// # Errors
 ///
 /// Propagates VM execution errors of the optimized run; a result
 /// mismatch between the two programs is a [`SloError::Transform`].
 pub fn evaluate_against(
-    baseline: &slo_vm::ExecOutcome,
+    baseline: &ExecOutcome,
+    plan: &TransformPlan,
     optimized: &Program,
-    opts: &slo_vm::VmOptions,
+    opts: &VmOptions,
+) -> Result<Evaluation, SloError> {
+    let optimized = (plan.num_transformed() > 0).then_some(optimized);
+    compare(baseline, optimized, opts)
+}
+
+/// Compare `baseline` with a run of `optimized`, or with itself when
+/// there is nothing to run.
+fn compare(
+    baseline: &ExecOutcome,
+    optimized: Option<&Program>,
+    opts: &VmOptions,
 ) -> Result<Evaluation, SloError> {
     let b = baseline.stats.without_instrumentation();
-    let o = slo_vm::run(optimized, opts)?;
-    if baseline.exit != o.exit {
-        return Err(SloError::Transform(RewriteError::Unsupported(format!(
-            "transformed program changed the computed result ({:?} -> {:?})",
-            baseline.exit, o.exit
-        ))));
-    }
+    let o = match optimized {
+        None => b.clone(),
+        Some(prog) => {
+            let o = slo_vm::run(prog, opts)?;
+            if baseline.exit != o.exit {
+                return Err(SloError::Transform(RewriteError::Unsupported(format!(
+                    "transformed program changed the computed result ({:?} -> {:?})",
+                    baseline.exit, o.exit
+                ))));
+            }
+            o.stats
+        }
+    };
     Ok(Evaluation {
         baseline_cycles: b.cycles,
-        optimized_cycles: o.stats.cycles,
+        optimized_cycles: o.cycles,
         baseline_instructions: b.instructions,
-        optimized_instructions: o.stats.instructions,
+        optimized_instructions: o.instructions,
     })
 }
 
@@ -558,6 +583,62 @@ bb3:
         };
         let err = evaluate(&ret(1), &ret(2), &slo_vm::VmOptions::default())
             .expect_err("different results must not evaluate");
+        assert!(matches!(err, SloError::Transform(_)), "{err}");
+    }
+
+    #[test]
+    fn profile_run_keeps_the_callers_options() {
+        let p = parse(SRC).expect("parse");
+        let rec = slo_obs::Recorder::enabled();
+        let opts = VmOptions::builder().trace(rec.clone()).build();
+        let out = profile_run(&p, &opts).expect("profile run");
+        assert!(out
+            .feedback
+            .func("main")
+            .is_some_and(|f| !f.edges.is_empty()));
+        assert!(out.stats.instrument_cycles > 0, "edges were counted");
+        let names: Vec<String> = rec.events().into_iter().map(|e| e.name).collect();
+        assert_eq!(
+            names,
+            ["vm.run", "profile_run"],
+            "the VM run nests in one span"
+        );
+
+        let tight = VmOptions::builder().step_limit(10).build();
+        let err = profile_run(&p, &tight).expect_err("step limit applies");
+        assert!(matches!(err, SloError::Budget(_)), "{err}");
+    }
+
+    #[test]
+    fn evaluation_against_a_finished_run() {
+        let p = parse(SRC).expect("parse");
+        let rec = slo_obs::Recorder::enabled();
+        let opts = VmOptions::builder().trace(rec.clone()).build();
+        let base = profile_run(&p, &VmOptions::default()).expect("profile run");
+        let plain = baseline_run(&p, &VmOptions::default()).expect("baseline run");
+        let runs = || rec.events().iter().filter(|e| e.name == "vm.run").count();
+
+        // a plan that transforms nothing runs nothing
+        let e = evaluate_against(&base, &TransformPlan::default(), &p, &opts).expect("evaluate");
+        assert_eq!(runs(), 0);
+        assert_eq!(
+            e.baseline_cycles, plain.stats.cycles,
+            "stats without instrumentation"
+        );
+        assert_eq!(e.optimized_cycles, e.baseline_cycles);
+        assert_eq!(e.optimized_instructions, plain.stats.instructions);
+
+        // a real plan runs the transformed program once
+        let res = compile(&p, &WeightScheme::Ispbo, &PipelineConfig::default()).expect("compile");
+        let e = evaluate_against(&base, &res.plan, &res.program, &opts).expect("evaluate");
+        assert_eq!(runs(), 1);
+        let direct = evaluate(&p, &res.program, &VmOptions::default()).expect("evaluate");
+        assert_eq!(e.baseline_cycles, direct.baseline_cycles);
+        assert_eq!(e.optimized_cycles, direct.optimized_cycles);
+
+        // and a changed result is an error, not an evaluation
+        let other = parse(&SRC.replace("ret r9", "ret 0.0")).expect("parse");
+        let err = evaluate_against(&base, &res.plan, &other, &opts).expect_err("mismatch");
         assert!(matches!(err, SloError::Transform(_)), "{err}");
     }
 

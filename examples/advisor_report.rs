@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // PBO collection with PMU sampling attached (HP Caliper style)
     println!("running the instrumented binary with sampling...");
-    let out = slo::vm::run(&prog, &VmOptions::profiling())?;
+    let out = slo::profile_run(&prog, &VmOptions::default())?;
 
     let scheme = WeightScheme::Pbo(&out.feedback);
     let ipa = analyze_program(&prog, &LegalityConfig::default());

@@ -26,7 +26,7 @@ const PHASES: [&str; 7] = [
     "parse",
     "legality",
     "escape",
-    "profile",
+    "hotness",
     "plan",
     "transform",
     "verify",
