@@ -65,7 +65,7 @@ commands:
                                          (`metrics` dumps JSON, `metrics
                                          prom` the Prometheus exposition);
                                          --journal appends outcomes to a
-                                         JSONL WAL and replays it on
+                                         write-ahead log and replays it on
                                          restart; --store layers a
                                          persistent checksummed analysis
                                          store under the LRU, so restarts

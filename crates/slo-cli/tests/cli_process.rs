@@ -568,7 +568,7 @@ fn serve_journal_recovers_after_kill() {
     for name in ["a.sir", "b.sir", "c.sir", "d.sir"] {
         std::fs::write(dir.join(name), SIR).expect("write sir");
     }
-    let journal = dir.join("serve.jsonl");
+    let journal = dir.join("serve.journal");
     let _ = std::fs::remove_file(&journal);
 
     // Session 1: two jobs complete (journaled + flushed), then SIGKILL
@@ -608,11 +608,13 @@ fn serve_journal_recovers_after_kill() {
     // derivations ever drift, recovery would silently stop replaying.
     let jobs = slo_service::parse_job_line(&dir, "a.sir scheme=ispbo").expect("parse job line");
     let key = slo_service::job_key("a.sir scheme=ispbo", &jobs[0]);
-    let journal_text = std::fs::read_to_string(&journal).expect("read journal");
-    assert!(
-        journal_text.contains(&format!("{key:016x}")),
-        "journal key must be the proto fingerprint {key:016x}:\n{journal_text}"
+    let replayed = slo_service::Journal::open(&journal).expect("reopen journal");
+    assert_eq!(
+        replayed.lookup(key).map(|e| e.id.as_str()),
+        Some("a"),
+        "journal key must be the proto fingerprint {key:016x}"
     );
+    drop(replayed);
 
     // Session 2: same two lines plus two new ones. The first two must
     // be answered from the journal, the new ones computed.
@@ -665,7 +667,7 @@ fn serve_journal_does_not_replay_stale_sources() {
         "func main() -> i64 {\nbb0:\n  ret 1\n}\n",
     )
     .expect("write sir");
-    let journal = dir.join("serve.jsonl");
+    let journal = dir.join("serve.journal");
     let _ = std::fs::remove_file(&journal);
 
     let serve_once = |dir: &std::path::Path, journal: &std::path::Path| {
@@ -783,12 +785,12 @@ fn tcp_serve_replays_journal_after_sigkill() {
     for name in ["a.sir", "b.sir", "c.sir"] {
         std::fs::write(dir.join(name), SIR).expect("write sir");
     }
-    let journal = dir.join("serve.jsonl");
+    let journal = dir.join("serve.journal");
     let _ = std::fs::remove_file(&journal);
 
     // Session 1: handshake + two jobs over TCP, then SIGKILL — no
     // drain, no flush beyond the per-record WAL flush.
-    let (mut child, _reader, addr) = spawn_listen(&dir, &["--journal", "serve.jsonl"]);
+    let (mut child, _reader, addr) = spawn_listen(&dir, &["--journal", "serve.journal"]);
     let replies = wire_roundtrip(
         &addr,
         &["hello v=1", "a.sir scheme=ispbo", "b.sir scheme=ispbo"],
@@ -807,7 +809,7 @@ fn tcp_serve_replays_journal_after_sigkill() {
 
     // Session 2: the journaled jobs replay over a fresh connection;
     // only the new job is computed.
-    let (mut child, mut reader, addr) = spawn_listen(&dir, &["--journal", "serve.jsonl"]);
+    let (mut child, mut reader, addr) = spawn_listen(&dir, &["--journal", "serve.journal"]);
     let replies = wire_roundtrip(
         &addr,
         &[

@@ -1,9 +1,9 @@
 //! The workspace's one JSON value ([`Json`]), parser, pretty printer and
 //! scalar writers ([`write_str`], [`write_num`]), used for Chrome traces,
-//! the service's wire replies, journal and metrics, and `BENCH_vm.json`.
+//! the service's wire replies and metrics, and `BENCH_vm.json`.
 //!
 //! The parser reads untrusted input (`slo trace-check`, wire replies,
-//! journals), so it ends in a value or an `Err` on every input: nesting
+//! `BENCH_vm.json`), so it ends in a value or an `Err` on every input: nesting
 //! is bounded by `MAX_DEPTH`, not by the stack, and scans are linear.
 
 use std::collections::BTreeMap;

@@ -29,7 +29,7 @@
 //!
 //! The [`json`] module is the workspace's one JSON value, parser and
 //! string/number writer, shared by the trace exporter and checker, the
-//! service's wire protocol and journal, and the bench trajectory file.
+//! service's wire protocol, and the bench trajectory file.
 //!
 //! # Examples
 //!

@@ -1,41 +1,41 @@
-//! The crash-recoverable serve journal: an append-only JSONL
-//! write-ahead log of completed job outcomes.
+//! The crash-recoverable serve journal: an append-only write-ahead log
+//! of completed job outcomes.
 //!
-//! `slo serve --journal <path>` records one line per finished job, keyed
-//! by a stable digest of the wire line that requested it, the job id
-//! and the program source it resolved to ([`job_key`]). On restart the
-//! journal is replayed: a job whose key is already present is served
-//! from the journal summary instead of being recomputed, so a serve
-//! process killed mid-batch resumes where it left off — completed work
-//! is never redone, in-flight work (started but not journaled) simply
-//! reruns.
+//! `slo serve --journal <path>` records one outcome per finished job,
+//! keyed by a stable digest of the wire line that requested it, the job
+//! id and the program source it resolved to ([`job_key`]). On restart
+//! the journal is replayed: a job whose key is already present is
+//! served from the journal summary instead of being recomputed, so a
+//! serve process killed mid-batch resumes where it left off — completed
+//! work is never redone, in-flight work (started but not journaled)
+//! simply reruns.
 //!
-//! The format is deliberately dumb: one self-contained JSON object per
-//! line, written by one `write_all` and flushed after every append.
-//! Replay tolerates a torn final line (the crash may have landed
-//! mid-write); anything that does not parse as a complete record is
-//! ignored. Opening a journal whose last line lacks its newline ends
-//! that line first, so the next record starts a line of its own and a
-//! complete-but-unterminated record still replays. There is no
-//! compaction — journals are per-serve-session artifacts, not
-//! databases.
+//! Each outcome is one [`crate::frame`] with the magic `SLOJ`, the job
+//! key as its key, and the id, status kind and reply summary as its
+//! payload, each a `u32` LE length followed by UTF-8. Replay follows the
+//! frame rule: an intact frame whose checksum fails or whose payload
+//! does not decode is skipped and counted ([`Journal::corrupt_skipped`]);
+//! frame damage ends the scan, and the file is cut back to the end of
+//! its last intact frame before the next append, so a record written
+//! after a crash replays. A non-empty file that does not start with the
+//! journal magic (a store segment, a text file) is refused and left
+//! untouched. There is no compaction — journals are per-serve-session
+//! artifacts, not databases.
 //!
-//! Every record carries a trailing `"c"` field: an FNV-1a checksum of
-//! the record body, verified on replay. An interior line whose frame is
-//! intact but whose checksum does not match (bit rot, a concurrent
-//! writer, hand edits) is skipped and counted
-//! ([`Journal::corrupt_skipped`]) instead of being trusted. Records
-//! written before the checksum existed have no `"c"` field and still
-//! replay — the field is versioning by presence.
+//! A record is one `write` of one frame, so it survives a process kill
+//! as soon as [`Journal::record`] returns. It does not survive a power
+//! cut: `File::flush` does nothing, and the journal never fsyncs.
 
+use crate::frame;
 use crate::job::{Job, JobStatus};
 use crate::proto;
-use slo_ir::fnv1a;
-use slo_obs::json::{write_str, Json};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
-use std::path::{Path, PathBuf};
+use std::io::{Error, ErrorKind, Write};
+use std::path::Path;
+
+/// Magic of a journal record frame.
+const JOURNAL_MAGIC: [u8; 4] = *b"SLOJ";
 
 /// A replayable journal entry: what a prior serve session recorded for
 /// a completed job.
@@ -52,7 +52,6 @@ pub struct JournalEntry {
 /// The append-only outcome journal.
 #[derive(Debug)]
 pub struct Journal {
-    path: PathBuf,
     file: File,
     completed: HashMap<u64, JournalEntry>,
     recovered: usize,
@@ -70,53 +69,44 @@ pub fn job_key(line: &str, job: &Job) -> u64 {
 
 impl Journal {
     /// Open (or create) the journal at `path`, replaying any complete
-    /// records already present. The number of recovered outcomes is
-    /// available via [`Journal::recovered`].
+    /// records already present and cutting off a torn tail. The number
+    /// of recovered outcomes is available via [`Journal::recovered`].
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from opening or reading the file; torn or
-    /// malformed records are skipped, never fatal.
+    /// `InvalidData` for a non-empty file that does not start with the
+    /// journal magic (the file is left untouched); otherwise propagates
+    /// I/O errors from reading, opening or truncating the file. Damaged
+    /// records are skipped, never fatal.
     pub fn open(path: &Path) -> std::io::Result<Journal> {
+        let bytes = match std::fs::read(path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(e),
+        };
+        let head = bytes.len().min(JOURNAL_MAGIC.len());
+        if bytes[..head] != JOURNAL_MAGIC[..head] {
+            return Err(Error::new(
+                ErrorKind::InvalidData,
+                "not a journal: the file does not start with the journal magic",
+            ));
+        }
         let mut completed = HashMap::new();
-        let mut corrupt_skipped = 0;
-        let mut unterminated = false;
-        if let Ok(f) = File::open(path) {
-            let mut reader = BufReader::new(f);
-            let mut line = String::new();
-            while reader.read_line(&mut line)? > 0 {
-                unterminated = !line.ends_with('\n');
-                match parse_record(&line) {
-                    Parsed::Entry(key, entry) => {
-                        completed.insert(key, entry);
-                    }
-                    Parsed::Corrupt => corrupt_skipped += 1,
-                    Parsed::Torn => {}
-                }
-                line.clear();
-            }
+        let scan = frame::scan(JOURNAL_MAGIC, &bytes, |_, key, payload| {
+            decode_entry(payload)
+                .map(|e| completed.insert(key, e))
+                .is_some()
+        });
+        let file = OpenOptions::new().create(true).append(true).open(path)?;
+        if scan.torn {
+            file.set_len(scan.end as u64)?;
         }
-        let mut file = OpenOptions::new().create(true).append(true).open(path)?;
-        if unterminated {
-            // A crash cut the last append short of its newline. End the
-            // line here rather than truncate it: the bytes may be a
-            // complete record, and appending onto them would fuse the
-            // next record into one unparseable line.
-            file.write_all(b"\n")?;
-        }
-        let recovered = completed.len();
         Ok(Journal {
-            path: path.to_path_buf(),
             file,
+            recovered: completed.len(),
             completed,
-            recovered,
-            corrupt_skipped,
+            corrupt_skipped: scan.corrupt as usize,
         })
-    }
-
-    /// The journal's path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// How many completed outcomes the journal replayed at open time.
@@ -124,11 +114,11 @@ impl Journal {
         self.recovered
     }
 
-    /// How many interior records were skipped at open time because
-    /// their checksum did not match their content. A torn final line
-    /// (an interrupted append) is expected crash damage and is *not*
-    /// counted here — this counts records that were fully written and
-    /// then changed.
+    /// How many intact records were skipped at open time because their
+    /// checksum did not match their content or their payload did not
+    /// decode. A torn tail (an interrupted append) is expected crash
+    /// damage and is *not* counted here — this counts records that were
+    /// fully written and then changed.
     pub fn corrupt_skipped(&self) -> usize {
         self.corrupt_skipped
     }
@@ -138,12 +128,12 @@ impl Journal {
         self.completed.get(&key)
     }
 
-    /// Append one completed outcome and flush it to disk before
-    /// returning — a crash after `record` never loses the entry.
+    /// Append one completed outcome as one write of one frame — a
+    /// process killed after `record` returns never loses the entry.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from the append or flush.
+    /// Propagates I/O errors from the append.
     pub fn record(
         &mut self,
         key: u64,
@@ -151,82 +141,44 @@ impl Journal {
         status: &JobStatus,
         summary: &str,
     ) -> std::io::Result<()> {
-        let mut body = format!("{{\"key\":\"{key:016x}\",\"id\":");
-        write_str(&mut body, id);
-        body.push_str(",\"status\":");
-        write_str(&mut body, status.kind());
-        body.push_str(",\"summary\":");
-        write_str(&mut body, summary);
-        // The checksum covers everything before its own field, so a
-        // replayer can verify without re-canonicalizing.
-        // One write per record: a kill can tear the line, but never
-        // land between a complete record and its newline.
-        let line = format!("{body},\"c\":\"{:016x}\"}}\n", fnv1a(body.as_bytes()));
-        self.file.write_all(line.as_bytes())?;
-        self.file.flush()?;
-        self.completed.insert(
-            key,
-            JournalEntry {
-                id: id.to_string(),
-                status: status.kind().to_string(),
-                summary: summary.to_string(),
-            },
-        );
+        let entry = JournalEntry {
+            id: id.to_string(),
+            status: status.kind().to_string(),
+            summary: summary.to_string(),
+        };
+        let mut payload = Vec::with_capacity(12 + id.len() + entry.status.len() + summary.len());
+        for field in [&entry.id, &entry.status, &entry.summary] {
+            payload.extend_from_slice(&(field.len() as u32).to_le_bytes());
+            payload.extend_from_slice(field.as_bytes());
+        }
+        self.file
+            .write_all(&frame::encode(JOURNAL_MAGIC, key, &payload))?;
+        self.completed.insert(key, entry);
         Ok(())
     }
 }
 
-enum Parsed {
-    /// A complete, (when checksummed) verified record.
-    Entry(u64, JournalEntry),
-    /// An intact frame whose checksum disagrees with its content.
-    Corrupt,
-    /// Not a complete record at all: a torn tail or a foreign line.
-    Torn,
-}
-
-fn parse_record(line: &str) -> Parsed {
-    let line = line.trim();
-    if !line.starts_with('{') || !line.ends_with('}') {
-        return Parsed::Torn;
-    }
-    // A `"c"` field makes the record self-verifying; its absence marks
-    // a pre-checksum record, which replays untested (versioning by
-    // presence). The writer escapes every interior quote as `\"`, so an
-    // unescaped `,"c":"` can only be the real, final field, and the
-    // checksum is read and verified over the raw bytes before parsing.
-    if let Some(at) = line.rfind(",\"c\":\"") {
-        let sum = line[at + 6..]
-            .strip_suffix("\"}")
-            .and_then(|hex| u64::from_str_radix(hex, 16).ok());
-        if sum != Some(fnv1a(&line.as_bytes()[..at])) {
-            return Parsed::Corrupt;
-        }
-    }
-    let Ok(doc) = Json::parse(line) else {
-        return Parsed::Torn;
+/// Decode a record payload: exactly three length-prefixed UTF-8
+/// strings (id, status, summary).
+fn decode_entry(mut payload: &[u8]) -> Option<JournalEntry> {
+    let mut field = || {
+        let len = u32::from_le_bytes(payload.get(..4)?.try_into().ok()?) as usize;
+        let text = std::str::from_utf8(payload.get(4..4 + len)?).ok()?;
+        payload = &payload[4 + len..];
+        Some(text.to_string())
     };
-    let text = |key| doc.get(key).and_then(Json::as_str).map(str::to_string);
-    let fields = (|| {
-        let key = u64::from_str_radix(&text("key")?, 16).ok()?;
-        Some((
-            key,
-            JournalEntry {
-                id: text("id")?,
-                status: text("status")?,
-                summary: text("summary")?,
-            },
-        ))
-    })();
-    match fields {
-        Some((key, entry)) => Parsed::Entry(key, entry),
-        None => Parsed::Torn,
-    }
+    let entry = JournalEntry {
+        id: field()?,
+        status: field()?,
+        summary: field()?,
+    };
+    payload.is_empty().then_some(entry)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -235,22 +187,37 @@ mod tests {
             std::thread::current().id()
         ));
         std::fs::create_dir_all(&d).expect("mkdir");
-        d.join(name)
+        let p = d.join(name);
+        let _ = std::fs::remove_file(&p);
+        p
     }
 
     fn failed(msg: &str) -> JobStatus {
         JobStatus::Failed(msg.to_string())
     }
 
+    /// A journal holding records 1 and 2, with the last `cut` bytes of
+    /// the file chopped off as a kill mid-append would.
+    fn torn_journal(name: &str, cut: usize) -> PathBuf {
+        let p = tmp(name);
+        {
+            let mut j = Journal::open(&p).expect("open");
+            j.record(1, "a", &failed("x"), "s1").expect("record");
+            j.record(2, "b", &failed("x"), "s2").expect("record");
+        }
+        let bytes = std::fs::read(&p).expect("read");
+        std::fs::write(&p, &bytes[..bytes.len() - cut]).expect("truncate");
+        p
+    }
+
     #[test]
     fn record_then_reopen_recovers() {
-        let p = tmp("roundtrip.jsonl");
-        let _ = std::fs::remove_file(&p);
+        let p = tmp("roundtrip.journal");
+        let summary = "a\tfailed \"quoted\"\nsecond line";
         {
             let mut j = Journal::open(&p).expect("open");
             assert_eq!(j.recovered(), 0);
-            j.record(0xabc, "a", &failed("x"), "a\tfailed \"quoted\"")
-                .expect("record");
+            j.record(0xabc, "a", &failed("x"), summary).expect("record");
             j.record(0xdef, "b", &failed("y"), "b optimized")
                 .expect("record");
         }
@@ -259,26 +226,13 @@ mod tests {
         let e = j.lookup(0xabc).expect("entry");
         assert_eq!(e.id, "a");
         assert_eq!(e.status, "failed");
-        assert_eq!(e.summary, "a\tfailed \"quoted\"", "escapes round-trip");
+        assert_eq!(e.summary, summary, "quotes, tabs and newlines round-trip");
         assert!(j.lookup(0x123).is_none());
     }
 
     #[test]
-    fn torn_last_line_is_skipped() {
-        let p = tmp("torn.jsonl");
-        let _ = std::fs::remove_file(&p);
-        {
-            let mut j = Journal::open(&p).expect("open");
-            j.record(1, "a", &failed("x"), "s1").expect("record");
-            j.record(2, "b", &failed("x"), "s2").expect("record");
-        }
-        // Simulate a crash mid-append: chop the file mid-record.
-        let text = std::fs::read_to_string(&p).expect("read");
-        let torn = &text[..text.len() - 25];
-        let mut f = File::create(&p).expect("truncate");
-        f.write_all(torn.as_bytes()).expect("write");
-        drop(f);
-
+    fn torn_last_record_is_skipped() {
+        let p = torn_journal("torn.journal", 5);
         let j = Journal::open(&p).expect("reopen");
         assert_eq!(
             j.recovered(),
@@ -296,15 +250,7 @@ mod tests {
 
     #[test]
     fn record_after_a_torn_tail_survives_the_next_reopen() {
-        let p = tmp("torn-then-record.jsonl");
-        let _ = std::fs::remove_file(&p);
-        {
-            let mut j = Journal::open(&p).expect("open");
-            j.record(1, "a", &failed("x"), "s1").expect("record");
-            j.record(2, "b", &failed("x"), "s2").expect("record");
-        }
-        let text = std::fs::read_to_string(&p).expect("read");
-        std::fs::write(&p, &text[..text.len() - 25]).expect("truncate");
+        let p = torn_journal("torn-then-record.journal", 5);
         {
             let mut j = Journal::open(&p).expect("reopen after crash");
             assert_eq!(j.recovered(), 1);
@@ -313,35 +259,12 @@ mod tests {
         let j = Journal::open(&p).expect("reopen");
         assert_eq!(j.recovered(), 2, "the post-crash record replays");
         assert!(j.lookup(3).is_some());
-        assert_eq!(j.corrupt_skipped(), 0, "the torn tail fused with nothing");
+        assert_eq!(j.corrupt_skipped(), 0, "the torn tail was cut off");
     }
 
     #[test]
-    fn complete_record_without_newline_replays_and_so_does_the_next() {
-        let p = tmp("unterminated.jsonl");
-        let _ = std::fs::remove_file(&p);
-        {
-            let mut j = Journal::open(&p).expect("open");
-            j.record(1, "a", &failed("x"), "s1").expect("record");
-        }
-        // A kill between a record and its newline.
-        let text = std::fs::read_to_string(&p).expect("read");
-        std::fs::write(&p, text.trim_end_matches('\n')).expect("strip newline");
-        {
-            let mut j = Journal::open(&p).expect("reopen");
-            assert_eq!(j.recovered(), 1, "the unterminated record replays");
-            j.record(2, "b", &failed("x"), "s2").expect("record");
-        }
-        let j = Journal::open(&p).expect("reopen");
-        assert_eq!(j.recovered(), 2);
-        assert!(j.lookup(1).is_some() && j.lookup(2).is_some());
-        assert_eq!(j.corrupt_skipped(), 0);
-    }
-
-    #[test]
-    fn corrupted_interior_line_is_skipped_and_counted() {
-        let p = tmp("corrupt.jsonl");
-        let _ = std::fs::remove_file(&p);
+    fn corrupted_interior_record_is_skipped_and_counted() {
+        let p = tmp("corrupt.journal");
         {
             let mut j = Journal::open(&p).expect("open");
             j.record(1, "a", &failed("x"), "s1").expect("record");
@@ -349,12 +272,15 @@ mod tests {
                 .expect("record");
             j.record(3, "c", &failed("x"), "s3").expect("record");
         }
-        // Flip a byte inside the middle record's summary; the line
-        // still parses, but the checksum no longer matches.
-        let text = std::fs::read_to_string(&p).expect("read");
-        let tampered = text.replace("summary-two", "summary-2wo");
-        assert_ne!(text, tampered, "the tamper target must exist");
-        std::fs::write(&p, tampered).expect("write");
+        // Change a byte inside the middle record's summary; the frame
+        // stays intact, but its checksum no longer matches.
+        let mut bytes = std::fs::read(&p).expect("read");
+        let at = bytes
+            .windows(11)
+            .position(|w| w == b"summary-two")
+            .expect("the tamper target must exist");
+        bytes[at + 8] = b'2';
+        std::fs::write(&p, bytes).expect("write");
 
         let j = Journal::open(&p).expect("reopen");
         assert_eq!(j.recovered(), 2, "the tampered record is not trusted");
@@ -365,39 +291,39 @@ mod tests {
     }
 
     #[test]
-    fn pre_checksum_records_still_replay() {
-        let p = tmp("legacy.jsonl");
-        let _ = std::fs::remove_file(&p);
-        // A record exactly as the pre-checksum writer emitted it.
-        std::fs::write(
-            &p,
-            "{\"key\":\"000000000000002a\",\"id\":\"old\",\"status\":\"failed\",\"summary\":\"s\"}\n",
+    fn foreign_files_are_refused_and_left_untouched() {
+        let store_dir = tmp("store-dir");
+        let _ = std::fs::remove_dir_all(&store_dir);
+        let mut store = crate::AnalysisStore::open(
+            &store_dir,
+            slo_obs::Recorder::disabled(),
+            slo_chaos::FaultPlan::disabled(),
         )
-        .expect("write");
-        let j = Journal::open(&p).expect("open");
-        assert_eq!(j.recovered(), 1, "the checksum field is optional");
-        assert_eq!(j.corrupt_skipped(), 0);
-        assert_eq!(j.lookup(0x2a).expect("entry").id, "old");
-    }
-
-    #[test]
-    fn summary_containing_a_fake_checksum_field_is_not_misparsed() {
-        let p = tmp("fakefield.jsonl");
-        let _ = std::fs::remove_file(&p);
-        {
-            let mut j = Journal::open(&p).expect("open");
-            // The escaped quotes keep this from looking like a real
-            // `"c"` field to the verifier.
-            j.record(7, "a", &failed("x"), "tricky,\"c\":\"0000\" tail")
-                .expect("record");
+        .expect("open store");
+        let src = "func main() -> i64 {\nbb0:\n  ret 1\n}\n";
+        let prog = slo_ir::parser::parse(src).expect("parse");
+        let scheme = slo::analysis::WeightScheme::Ispbo;
+        store
+            .put(
+                1,
+                &slo::analyze(&prog, &scheme, &slo::PipelineConfig::default()),
+            )
+            .expect("put");
+        drop(store);
+        let segment = store_dir.join("seg-000000.open");
+        let text = tmp("old.txt");
+        std::fs::write(&text, "{\"key\":\"000000000000002a\",\"id\":\"old\"}\n").expect("write");
+        for path in [segment, text] {
+            let before = std::fs::read(&path).expect("read");
+            let err = Journal::open(&path).expect_err("a foreign file is refused");
+            assert_eq!(err.kind(), ErrorKind::InvalidData, "{}", path.display());
+            assert_eq!(
+                std::fs::read(&path).expect("reread"),
+                before,
+                "left untouched"
+            );
         }
-        let j = Journal::open(&p).expect("reopen");
-        assert_eq!(j.recovered(), 1);
-        assert_eq!(j.corrupt_skipped(), 0);
-        assert_eq!(
-            j.lookup(7).expect("entry").summary,
-            "tricky,\"c\":\"0000\" tail"
-        );
+        let _ = std::fs::remove_dir_all(&store_dir);
     }
 
     #[test]

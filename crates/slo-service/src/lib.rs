@@ -28,13 +28,15 @@
 //!   faults in the VM, cache, pool and manifest reader, zero-cost when
 //!   disabled.
 //! * **Crash recovery** ([`journal::Journal`]): `slo serve` appends
-//!   every outcome to a JSONL write-ahead journal and replays it on
-//!   restart, so a killed session never recomputes completed jobs.
+//!   every outcome to a write-ahead journal and replays it on restart,
+//!   so a killed session never recomputes completed jobs.
 //! * **Persistent analysis store** ([`store::AnalysisStore`]): an
-//!   append-only, crash-safe, checksummed segment store layered under
-//!   the LRU (`slo batch/serve --store <dir>`) — analyses survive
-//!   restarts and SIGKILL, corrupt records are dropped, counted and
-//!   recomputed, never served.
+//!   append-only, crash-safe segment store layered under the LRU
+//!   (`slo batch/serve --store <dir>`) — analyses survive restarts and
+//!   SIGKILL, corrupt records are dropped, counted and recomputed,
+//!   never served.
+//! * **One record frame** ([`frame`]): the journal and the store write
+//!   the same checksummed frame and replay it under one damage rule.
 //! * **One wire protocol** ([`proto`]): versioned [`Request`] /
 //!   [`Response`] types — manifest attribute syntax in, one-line JSON
 //!   out — shared verbatim by stdin serve, the TCP ingress and
@@ -63,6 +65,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+pub mod frame;
 pub mod job;
 pub mod journal;
 pub mod manifest;

@@ -26,10 +26,6 @@ pub struct ServiceMetrics {
     pub(crate) panics: AtomicU64,
     pub(crate) retries: AtomicU64,
     pub(crate) quarantined: AtomicU64,
-    pub(crate) cache_hits: AtomicU64,
-    pub(crate) cache_misses: AtomicU64,
-    pub(crate) cache_evictions: AtomicU64,
-    pub(crate) cache_reverified: AtomicU64,
     pub(crate) queue_wait_ns: AtomicU64,
     pub(crate) fe_ns: AtomicU64,
     pub(crate) ipa_ns: AtomicU64,
@@ -42,7 +38,9 @@ impl ServiceMetrics {
         slot.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// A point-in-time copy of every counter.
+    /// A point-in-time copy of every counter. The cache, store and
+    /// fault counters are owned elsewhere and read as zero here;
+    /// [`crate::Service::metrics`] fills them in.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let ld = |a: &AtomicU64| a.load(Ordering::Relaxed);
         MetricsSnapshot {
@@ -58,20 +56,12 @@ impl ServiceMetrics {
             panics: ld(&self.panics),
             retries: ld(&self.retries),
             quarantined: ld(&self.quarantined),
-            cache_hits: ld(&self.cache_hits),
-            cache_misses: ld(&self.cache_misses),
-            cache_evictions: ld(&self.cache_evictions),
-            cache_reverified: ld(&self.cache_reverified),
-            store_hits: 0,
-            store_misses: 0,
-            store_corrupt_drops: 0,
-            store_bytes: 0,
-            faults_injected: [0; slo_chaos::NUM_SITES],
             queue_wait_ns: ld(&self.queue_wait_ns),
             fe_ns: ld(&self.fe_ns),
             ipa_ns: ld(&self.ipa_ns),
             be_ns: ld(&self.be_ns),
             exec_ns: ld(&self.exec_ns),
+            ..MetricsSnapshot::default()
         }
     }
 }
@@ -103,7 +93,8 @@ pub struct MetricsSnapshot {
     pub retries: u64,
     /// Jobs quarantined after exhausting their retry budget.
     pub quarantined: u64,
-    /// Analysis-cache hits.
+    /// Analysis-cache hits (read from the cache by
+    /// [`crate::Service::metrics`], like the other `cache_*` counters).
     pub cache_hits: u64,
     /// Analysis-cache misses.
     pub cache_misses: u64,

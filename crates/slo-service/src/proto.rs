@@ -696,7 +696,7 @@ mod tests {
     fn session_runs_jobs_and_replays_from_journal() {
         let d = tmpdir();
         std::fs::write(d.join("s.sir"), SIR).expect("write");
-        let jpath = d.join(format!("session-{:?}.jsonl", std::thread::current().id()));
+        let jpath = d.join(format!("session-{:?}.journal", std::thread::current().id()));
         let _ = std::fs::remove_file(&jpath);
         let service = Service::new(crate::ServiceConfig::builder().workers(1).build());
         let journal = Mutex::new(Journal::open(&jpath).expect("journal"));

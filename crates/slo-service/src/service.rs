@@ -42,7 +42,7 @@ use slo_vm::{ExecError, ExecOutcome, Feedback, VmOptions};
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Service configuration.
@@ -190,11 +190,17 @@ impl Service {
         &self.trace
     }
 
-    /// A point-in-time copy of the service counters (including the
-    /// fault plan's per-site injection totals).
+    /// A point-in-time copy of the service counters, with the cache's,
+    /// the store's and the fault plan's counters read from their owners.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.metrics.snapshot();
         snap.faults_injected = self.chaos.injected_by_site();
+        {
+            // Plain counters: valid whatever a panicking holder left undone.
+            let cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
+            (snap.cache_hits, snap.cache_misses, snap.cache_evictions) = cache.counters();
+            snap.cache_reverified = cache.corrupt_drops();
+        }
         if let Some(c) = self.store_counters() {
             snap.store_hits = c.hits;
             snap.store_misses = c.misses;
@@ -450,7 +456,6 @@ impl Service {
         }
         let analysis = match cached {
             Lookup::Hit(a) => {
-                self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
                 self.trace.instant(
                     "service",
                     "cache-hit",
@@ -460,7 +465,6 @@ impl Service {
                 a
             }
             Lookup::Corrupt | Lookup::Miss => {
-                self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
                 // The durable tier: an LRU miss falls through to the
                 // persistent store before recomputing. A store hit is
                 // promoted into the LRU; a corrupt or absent record is
@@ -610,17 +614,6 @@ impl Service {
         ServiceMetrics::add_duration(&self.metrics.ipa_ns, jm.ipa);
         ServiceMetrics::add_duration(&self.metrics.be_ns, jm.be);
         ServiceMetrics::add_duration(&self.metrics.exec_ns, jm.exec);
-        if let Ok(c) = self.cache.lock() {
-            // Evictions and re-verification drops are bookkept inside
-            // the cache; mirror them into the exported counters
-            // (hits/misses are tallied directly).
-            self.metrics
-                .cache_evictions
-                .store(c.counters().2, Ordering::Relaxed);
-            self.metrics
-                .cache_reverified
-                .store(c.corrupt_drops(), Ordering::Relaxed);
-        }
         JobOutcome {
             id: job.id.clone(),
             status,

@@ -12,21 +12,16 @@
 //!
 //! A store directory holds numbered segment files. The active segment
 //! (`seg-NNNNNN.open`) receives appends; once it reaches the seal
-//! threshold it is fsync'd and atomically renamed to `seg-NNNNNN.seg`,
-//! so a sealed segment is always a complete, durable prefix and a kill
-//! at any point leaves at worst a torn tail on the active segment.
-//! Each record is self-describing:
+//! threshold it is fsync'd and atomically renamed to `seg-NNNNNN.seg`.
+//! Each record is one [`crate::frame`] with the magic `SLOR`, the
+//! analysis cache key as its key and [`slo::encode_analysis`] bytes as
+//! its payload.
 //!
-//! ```text
-//! [4B magic "SLOR"] [8B key LE] [4B payload len LE] [payload] [8B FNV-1a LE]
-//! ```
-//!
-//! The trailing checksum covers the header *and* the payload, and is
-//! verified on every read — including re-reads of records that scanned
-//! clean at open time, because bit rot does not schedule itself around
-//! `open`. A record that fails the checksum (or fails
-//! [`slo::decode_analysis`]'s structural validation) is dropped from
-//! the index, counted in [`StoreCounters::corrupt_drops`], and the
+//! The checksum is verified on every read, including re-reads of
+//! records that scanned clean at open time, because bit rot does not
+//! schedule itself around `open`. A record that fails the checksum (or
+//! fails [`slo::decode_analysis`]'s structural validation) is dropped
+//! from the index, counted in [`StoreCounters::corrupt_drops`], and the
 //! caller recomputes: a corrupt record is never served. This extends
 //! the cache's `get_checked` re-verification discipline to disk, where
 //! the fingerprint alone would not suffice ([`ipa_fingerprint`] digests
@@ -34,44 +29,48 @@
 //!
 //! # Replay
 //!
-//! Opening scans every segment in order. A record whose checksum fails
-//! but whose frame is intact is skipped and counted (interior bit rot);
-//! a frame that no longer parses — bad magic, impossible length,
-//! missing bytes — ends the scan of that segment (torn tail). Later
-//! segments still replay: damage is contained to the segment it
-//! happened in.
+//! Opening scans every segment in order under the frame rule: an intact
+//! frame with a bad checksum is skipped and counted, and frame damage
+//! ends the scan of that segment and counts once. Later segments still
+//! replay, so damage is contained to the segment it happened in. The
+//! `.open` segment a dead process left behind stays the active one: its
+//! torn tail is cut off and appends continue after its last intact
+//! frame, so a restart adds no segment file and the tail is counted by
+//! the one open that finds it. A store directory belongs to one process
+//! at a time; nothing locks it.
 //!
-//! Nothing rewrites segments. A put of a key the store already holds
-//! is a no-op, so no record is ever superseded: only torn writes and
-//! rot leave dead bytes behind.
+//! Sealed segments are never rewritten. A put of a key the store
+//! already holds is a no-op, so no record is ever superseded: only torn
+//! writes and rot leave dead bytes behind.
+//!
+//! # Durability
+//!
+//! A put is one `write` to the active segment, so it survives a process
+//! kill as soon as `put` returns. It survives a power cut only once its
+//! segment is sealed: `File::flush` does nothing, and the store fsyncs
+//! only when it seals.
 //!
 //! # Fault injection
 //!
 //! Two [`Site`]s prove the robustness claims deterministically:
 //! [`Site::StoreTornWrite`] truncates a put mid-body (and rolls the
-//! segment, as a crash would), and [`Site::StoreBitRot`] flips one byte
-//! of a just-written record on disk.
+//! segment, so the torn bytes stay behind at a sealed segment's tail),
+//! and [`Site::StoreBitRot`] flips one byte of a just-written record on
+//! disk.
 //!
 //! [`ipa_fingerprint`]: slo::analysis::ipa_fingerprint
 
+use crate::frame::{self, Scan};
 use slo::Analysis;
 use slo_chaos::{FaultPlan, Site};
-use slo_ir::fnv1a;
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Magic prefix of one store record frame.
+/// Magic of a store record frame.
 const RECORD_MAGIC: [u8; 4] = *b"SLOR";
-/// Frame header bytes before the payload (magic + key + len).
-const HEADER_BYTES: usize = 4 + 8 + 4;
-/// Frame trailer bytes after the payload (checksum).
-const TRAILER_BYTES: usize = 8;
-/// Upper bound on one record's payload — a length field beyond this is
-/// frame damage, not data.
-const MAX_PAYLOAD_BYTES: u32 = 256 * 1024 * 1024;
 /// Seal threshold for the active segment.
 const SEGMENT_BYTES: u64 = 4 * 1024 * 1024;
 
@@ -115,9 +114,9 @@ pub struct AnalysisStore {
 
 impl AnalysisStore {
     /// Open (creating if needed) the store at `dir`, replaying every
-    /// segment into the in-memory index. Any active segment left by a
-    /// dead process is sealed as-is — its valid prefix replays, its
-    /// torn tail (if any) is skipped.
+    /// segment into the in-memory index. An active segment left by a
+    /// dead process stays active: its valid prefix replays and its torn
+    /// tail (if any) is cut off before the next append.
     ///
     /// # Errors
     ///
@@ -127,48 +126,45 @@ impl AnalysisStore {
         let rec = trace.clone();
         let mut span = rec.span("store", "open");
         fs::create_dir_all(dir)?;
-        // Orphaned active segments (a previous process died holding
-        // one) become sealed segments: rename first so the scan below
-        // only ever sees one namespace.
-        let mut ids = Vec::new();
+        let mut segments = Vec::new();
         for entry in fs::read_dir(dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy().into_owned();
-            if let Some(id) = segment_id(&name, ".open") {
-                let sealed = dir.join(segment_name(id, ".seg"));
-                fs::rename(entry.path(), sealed)?;
-                ids.push(id);
-            } else if let Some(id) = segment_id(&name, ".seg") {
-                ids.push(id);
+            let name = entry?.file_name();
+            let name = name.to_string_lossy();
+            if let Some(id) = segment_id(&name, ".seg") {
+                segments.push((id, ".seg"));
+            } else if let Some(id) = segment_id(&name, ".open") {
+                segments.push((id, ".open"));
             }
         }
-        ids.sort_unstable();
+        segments.sort_unstable();
 
         let mut index = HashMap::new();
         let mut counters = StoreCounters::default();
-        for &id in &ids {
-            scan_segment(
-                &dir.join(segment_name(id, ".seg")),
-                id,
-                &mut index,
-                &mut counters,
-            )?;
+        let mut active_id = segments.last().map_or(0, |&(id, _)| id + 1);
+        let mut active_len = 0;
+        for (i, &(id, ext)) in segments.iter().enumerate() {
+            let path = dir.join(segment_name(id, ext));
+            let scan = scan_segment(&path, id, &mut index, &mut counters)?;
+            // Only the newest segment can still be the active one.
+            if ext == ".open" && i + 1 == segments.len() {
+                active_id = id;
+                active_len = scan.end as u64;
+            }
         }
 
-        let active_id = ids.last().map_or(0, |m| m + 1);
         let active = OpenOptions::new()
             .create(true)
             .append(true)
             .open(dir.join(segment_name(active_id, ".open")))?;
+        active.set_len(active_len)?;
         span.arg("records", index.len() as i64);
-        span.arg("segments", ids.len() as i64);
+        span.arg("segments", segments.len() as i64);
         Ok(AnalysisStore {
             dir: dir.to_path_buf(),
             index,
             active,
             active_id,
-            active_len: 0,
+            active_len,
             seal_bytes: SEGMENT_BYTES,
             counters,
             trace,
@@ -238,14 +234,14 @@ impl AnalysisStore {
         }
         let rec = self.trace.clone();
         let mut span = rec.span("store", "put");
-        let frame = encode_frame(key, &slo::encode_analysis(analysis));
+        let frame = frame::encode(RECORD_MAGIC, key, &slo::encode_analysis(analysis));
         span.arg("bytes", frame.len() as i64);
 
         if self.faults.should_fire(Site::StoreTornWrite) {
             // A torn write: only a prefix of the frame reaches disk, as
             // if the process died mid-append. The record is not
-            // indexed, and the segment rolls so the damage sits where
-            // real crash damage sits — at a sealed segment's tail.
+            // indexed, and the segment rolls so the torn bytes stay on
+            // disk, at a sealed segment's tail, for replay to meet.
             let cut = 1 + self
                 .faults
                 .magnitude(Site::StoreTornWrite, frame.len() as u64 - 2)
@@ -320,10 +316,13 @@ impl AnalysisStore {
     fn read_frame(&self, key: u64, loc: Loc) -> Option<Analysis> {
         let mut f = File::open(self.segment_path(loc.seg)?).ok()?;
         f.seek(SeekFrom::Start(loc.offset)).ok()?;
-        let mut frame = vec![0u8; loc.frame as usize];
-        f.read_exact(&mut frame).ok()?;
-        verify_frame(&frame, Some(key))?;
-        slo::decode_analysis(&frame[HEADER_BYTES..frame.len() - TRAILER_BYTES]).ok()
+        let mut bytes = vec![0u8; loc.frame as usize];
+        f.read_exact(&mut bytes).ok()?;
+        let (found, payload) = frame::verify(RECORD_MAGIC, &bytes)?;
+        if found != key {
+            return None;
+        }
+        slo::decode_analysis(payload).ok()
     }
 
     fn segment_path(&self, seg: u64) -> Option<PathBuf> {
@@ -344,87 +343,32 @@ fn segment_id(name: &str, ext: &str) -> Option<u64> {
     name.strip_prefix("seg-")?.strip_suffix(ext)?.parse().ok()
 }
 
-/// Build one record frame: header, payload, trailing checksum over
-/// everything before it.
-fn encode_frame(key: u64, payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(HEADER_BYTES + payload.len() + TRAILER_BYTES);
-    frame.extend_from_slice(&RECORD_MAGIC);
-    frame.extend_from_slice(&key.to_le_bytes());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(payload);
-    let sum = fnv1a(&frame);
-    frame.extend_from_slice(&sum.to_le_bytes());
-    frame
-}
-
-/// Verify one complete frame's magic, length, checksum and (when the
-/// caller knows it) key. Returns the record key on success.
-fn verify_frame(frame: &[u8], expect_key: Option<u64>) -> Option<u64> {
-    if frame.len() < HEADER_BYTES + TRAILER_BYTES || frame[..4] != RECORD_MAGIC {
-        return None;
-    }
-    let key = u64::from_le_bytes(frame[4..12].try_into().unwrap());
-    let len = u32::from_le_bytes(frame[12..16].try_into().unwrap()) as usize;
-    if frame.len() != HEADER_BYTES + len + TRAILER_BYTES {
-        return None;
-    }
-    let body = &frame[..HEADER_BYTES + len];
-    let sum = u64::from_le_bytes(frame[HEADER_BYTES + len..].try_into().unwrap());
-    if fnv1a(body) != sum || expect_key.is_some_and(|k| k != key) {
-        return None;
-    }
-    Some(key)
-}
-
-/// Replay one sealed segment into the index. Interior records with an
-/// intact frame but a bad checksum are skipped and counted; frame
-/// damage (bad magic, impossible length, missing bytes) ends the scan
-/// — the torn-tail case — and the leftover bytes count once, however
-/// short.
+/// Replay one segment into the index under the frame rule (see
+/// [`crate::frame`]). A torn tail counts once, however short.
 fn scan_segment(
     path: &Path,
     seg: u64,
     index: &mut HashMap<u64, Loc>,
     counters: &mut StoreCounters,
-) -> std::io::Result<()> {
+) -> std::io::Result<Scan> {
     let bytes = fs::read(path)?;
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        let rest = &bytes[pos..];
-        let frame_len = (rest.len() >= HEADER_BYTES && rest[..4] == RECORD_MAGIC)
-            .then(|| u32::from_le_bytes(rest[12..16].try_into().unwrap()))
-            .filter(|&len| len <= MAX_PAYLOAD_BYTES)
-            .map(|len| HEADER_BYTES + len as usize + TRAILER_BYTES)
-            .filter(|&n| n <= rest.len());
-        let Some(frame_len) = frame_len else {
-            counters.corrupt_drops += 1;
-            break;
+    let scan = frame::scan(RECORD_MAGIC, &bytes, |range, key, _| {
+        let loc = Loc {
+            seg,
+            offset: range.start as u64,
+            frame: range.len() as u32,
         };
-        match verify_frame(&rest[..frame_len], None) {
-            Some(key) => {
-                index.insert(
-                    key,
-                    Loc {
-                        seg,
-                        offset: pos as u64,
-                        frame: frame_len as u32,
-                    },
-                );
-            }
-            None => {
-                // Checksum mismatch with an intact frame: interior bit
-                // rot. Skip just this record; later ones still replay.
-                counters.corrupt_drops += 1;
-            }
-        }
-        pos += frame_len;
-    }
-    Ok(())
+        index.insert(key, loc);
+        true
+    });
+    counters.corrupt_drops += scan.corrupt + u64::from(scan.torn);
+    Ok(scan)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::HEADER_BYTES;
     use slo::analysis::WeightScheme;
     use slo::PipelineConfig;
     use slo_chaos::ChaosConfig;
@@ -562,6 +506,46 @@ mod tests {
         assert_eq!(s.len(), 1);
         assert!(s.get(1).is_some());
         assert_eq!(s.counters().corrupt_drops, 1, "the short tail is counted");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reopening_keeps_appending_to_the_active_segment() {
+        let dir = tmp("reopen-active");
+        for k in 1..=2u64 {
+            open(&dir).put(k, &analysis_for(k as i64)).expect("put");
+        }
+        let segments = || {
+            let mut names: Vec<String> = fs::read_dir(&dir)
+                .expect("dir")
+                .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+                .collect();
+            names.sort();
+            names
+        };
+        assert_eq!(segments(), ["seg-000000.open"], "a restart adds no segment");
+        let s = open(&dir);
+        assert_eq!(s.len(), 2, "both records replay");
+        drop(s);
+
+        // A torn append in the active segment is counted by the open
+        // that finds it, and cut off so the next open finds none.
+        let seg = dir.join("seg-000000.open");
+        let mut bytes = fs::read(&seg).expect("read");
+        let intact = bytes.len();
+        bytes.extend_from_slice(&RECORD_MAGIC);
+        fs::write(&seg, &bytes).expect("tear");
+        let mut s = open(&dir);
+        assert_eq!(s.counters().corrupt_drops, 1);
+        s.put(3, &analysis_for(3)).expect("put after the torn tail");
+        drop(s);
+        let mut s = open(&dir);
+        assert_eq!(s.counters().corrupt_drops, 0, "the torn tail is gone");
+        for k in 1..=3u64 {
+            assert!(s.get(k).is_some(), "record {k} replays");
+        }
+        assert!(fs::metadata(&seg).expect("stat").len() > intact as u64);
+        assert_eq!(segments(), ["seg-000000.open"]);
         let _ = fs::remove_dir_all(&dir);
     }
 
