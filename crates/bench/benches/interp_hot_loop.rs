@@ -60,17 +60,19 @@ fn bench_hot_loop(c: &mut Criterion) {
             .stats
             .instructions;
 
+        let sopts = opts.clone().structured();
+        let topts = never_sampling();
+        assert_ne!(opts.engine, sopts.engine, "decoded and structured arms");
+        assert!(!opts.trace.is_enabled() && topts.trace.is_enabled());
         let mut g = c.benchmark_group(format!("hot_loop/{name}"));
         g.throughput(Throughput::Elements(instrs));
         g.bench_function("decoded", |b| {
             b.iter(|| black_box(run_decoded(&prog, &dec, &opts).expect("decoded run")))
         });
         g.bench_function("structured", |b| {
-            let sopts = opts.clone().structured();
             b.iter(|| black_box(run(&prog, &sopts).expect("structured run")))
         });
         g.bench_function("decoded_noop_trace", |b| {
-            let topts = never_sampling();
             b.iter(|| black_box(run_decoded(&prog, &dec, &topts).expect("decoded run")))
         });
         g.finish();
@@ -115,6 +117,7 @@ fn record_trajectory() {
         let dec = DecodedProgram::new(&prog);
         let opts = VmOptions::plain();
         let sopts = opts.clone().structured();
+        assert_ne!(opts.engine, sopts.engine, "decoded and structured arms");
         let ips = alternate(&mut [
             &mut || {
                 run_decoded(&prog, &dec, &opts)
@@ -164,6 +167,13 @@ fn record_trace_overhead() {
             .trace(sampled_rec.clone())
             .trace_step_interval(1 << 16)
             .build();
+        assert!(
+            !untraced_opts.trace.is_enabled()
+                && noop_opts.trace.is_enabled()
+                && sampled_opts.trace.is_enabled()
+                && noop_opts.trace_step_interval != sampled_opts.trace_step_interval,
+            "untraced, never-sampling and sampling arms"
+        );
         let instrs = |opts: &VmOptions| {
             run_decoded(&prog, &dec, opts)
                 .expect("decoded run")

@@ -5,7 +5,7 @@
 //! time" are visible.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use slo::analysis::WeightScheme;
+use slo::analysis::{FactTable, WeightScheme};
 use slo::pipeline::{compile, PipelineConfig};
 use slo_analysis::ipa::LegalityConfig;
 use slo_workloads::mcf::{build_config, McfConfig};
@@ -22,13 +22,13 @@ fn programs() -> slo_ir::Program {
 fn bench_fe_legality(c: &mut Criterion) {
     let p = programs();
     c.bench_function("fe_legality_pass", |b| {
-        b.iter(|| std::hint::black_box(slo_analysis::legality::analyze_all_units(&p)))
+        b.iter(|| std::hint::black_box(FactTable::new(&p).analyze_all_units()))
     });
 }
 
 fn bench_ipa_aggregate(c: &mut Criterion) {
     let p = programs();
-    let summaries = slo_analysis::legality::analyze_all_units(&p);
+    let summaries = FactTable::new(&p).analyze_all_units();
     c.bench_function("ipa_aggregate", |b| {
         b.iter(|| {
             std::hint::black_box(slo_analysis::ipa::aggregate(
@@ -42,8 +42,9 @@ fn bench_ipa_aggregate(c: &mut Criterion) {
 
 fn bench_affinity(c: &mut Criterion) {
     let p = programs();
-    c.bench_function("affinity_graphs_ispbo", |b| {
-        b.iter(|| std::hint::black_box(slo::analysis::affinity_graphs(&p, &WeightScheme::Ispbo)))
+    let facts = FactTable::new(&p);
+    c.bench_function("profitability_ispbo", |b| {
+        b.iter(|| std::hint::black_box(facts.profitability(&WeightScheme::Ispbo)))
     });
 }
 

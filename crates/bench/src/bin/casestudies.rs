@@ -9,6 +9,7 @@
 //! ```
 
 use slo::pipeline::evaluate;
+use slo_ir::{printer::print_program, Program};
 use slo_transform::{apply_plan, forced_split, peel_by_name, reorder_by_names};
 use slo_vm::VmOptions;
 use slo_workloads::casestudy::{cpp_grouped_order, spec2006_c, spec2006_cpp};
@@ -26,6 +27,11 @@ fn main() {
     if matches!(which.as_str(), "all" | "two-field-peel") {
         two_field_peel();
     }
+}
+
+/// The two arms of an A/B comparison must be two different programs.
+fn assert_arms_differ(a: &Program, b: &Program, what: &str) {
+    assert!(print_program(a) != print_program(b), "{what}: one program");
 }
 
 /// §2.4: "Splitting out field time results in a performance degradation
@@ -53,6 +59,7 @@ fn mcf_force() {
         )
         .expect("base plan");
         let base = apply_plan(&prog, &base_plan).expect("base rewrite");
+        assert_arms_differ(&base, &q, "good and forced split");
         let eval = evaluate(&base, &q, &VmOptions::default()).expect("evaluate");
         // speedup of q relative to the good split; negative = degradation
         println!(
@@ -68,6 +75,7 @@ fn hot_grouping() {
     println!("== §3.4 case study: hot-field grouping (+2.5% in the paper) ==");
     let prog = spec2006_cpp(12_000, 4);
     let grouped = reorder_by_names(&prog, "big_s", &cpp_grouped_order()).expect("reorder");
+    assert_arms_differ(&prog, &grouped, "original and grouped order");
     let eval = evaluate(&prog, &grouped, &VmOptions::default()).expect("evaluate");
     println!(
         "  grouping hot fields: {:+.1}%   (paper: +2.5%)",
@@ -83,6 +91,7 @@ fn two_field_peel() {
     for (label, unroll, paper) in [("rolled", false, 40.0), ("unrolled x4", true, 80.0)] {
         let prog = spec2006_c(400_000, 6, unroll);
         let peeled = peel_by_name(&prog, "fi_pair").expect("peel");
+        assert_arms_differ(&prog, &peeled, "original and peeled");
         let eval = evaluate(&prog, &peeled, &VmOptions::default()).expect("evaluate");
         println!(
             "  {label:<12} peeling: {:+.1}%   (paper: about +{paper:.0}%)",

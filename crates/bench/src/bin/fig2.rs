@@ -3,7 +3,7 @@
 //! affinity graph (§3.2).
 
 use slo::advisor::{render_report, render_vcg, AdvisorInput};
-use slo::analysis::{affinity_graphs, attribute_samples, block_frequencies, WeightScheme};
+use slo::analysis::{FactTable, WeightScheme};
 use slo::pipeline::{profile_run, PipelineConfig};
 use slo_vm::VmOptions;
 use slo_workloads::mcf::build;
@@ -13,20 +13,19 @@ fn main() {
     let prog = build(InputSet::Training);
     let prof = profile_run(&prog, &VmOptions::default()).expect("profile run");
     let scheme = WeightScheme::Pbo(&prof.feedback);
+    let cfg = PipelineConfig::builder().attribute_dcache(true).build();
 
-    let res = slo::compile(&prog, &scheme, &PipelineConfig::default()).expect("pipeline");
-    let graphs = affinity_graphs(&prog, &scheme);
-    let freqs = block_frequencies(&prog, &scheme);
-    let counts = slo::analysis::affinity::build_field_counts(&prog, &freqs);
-    let dcache = attribute_samples(&prog, &prof.feedback);
-    let strides = slo::analysis::attribute_strides(&prog, &prof.feedback);
+    let res = slo::compile(&prog, &scheme, &cfg).expect("pipeline");
+    let (graphs, counts) = (&res.graphs, &res.counts);
+    let dcache = res.dcache.as_ref().expect("PBO scheme attributes samples");
+    let strides = FactTable::new(&prog).attribute_strides(&prof.feedback);
 
     let input = AdvisorInput {
         prog: &prog,
         ipa: &res.ipa,
-        graphs: &graphs,
-        counts: &counts,
-        dcache: Some(&dcache),
+        graphs,
+        counts,
+        dcache: Some(dcache),
         strides: Some(&strides),
         plan: Some(&res.plan),
     };
@@ -48,8 +47,8 @@ fn main() {
         &prog,
         node,
         &graphs[&node],
-        &counts,
-        Some(&dcache),
+        counts,
+        Some(dcache),
         &slo::advisor::ScenarioConfig::default(),
     ) {
         println!("  * {advice}");

@@ -16,7 +16,7 @@
 
 use bench::report::{json_flag, record_table, TableStats};
 use slo::analysis::{
-    argmax, attribute_samples, correlation, correlation_excluding, relative_hotness, WeightScheme,
+    argmax, correlation, correlation_excluding, relative_hotness, FactTable, WeightScheme,
 };
 use slo::pipeline::profile_run;
 use slo_service::pool::par_map_bounded;
@@ -48,7 +48,7 @@ fn main() {
     let ispbo_no = relative_hotness(&train, node, &WeightScheme::IspboNo);
     let ispbo_w = relative_hotness(&train, node, &WeightScheme::IspboW);
 
-    let dc = attribute_samples(&train, &prof.feedback);
+    let dc = FactTable::new(&train).attribute_samples(&prof.feedback);
     let dmiss = slo::analysis::dcache::relative_misses(&train, node, &dc);
     let dlat = slo::analysis::dcache::relative_latencies(&train, node, &dc);
     let dmiss_no = dmiss.clone();

@@ -74,8 +74,15 @@ fn main() {
             &slo::pipeline::PipelineConfig::default(),
         )
         .expect("pipeline");
-        // baseline and optimized stat runs are independent
-        let progs = [(&w.program, "baseline "), (&res.program, "optimized")];
+        // baseline and optimized stat runs are independent; an empty
+        // plan leaves one program, measured once
+        let mut progs = vec![(&w.program, "baseline ")];
+        if res.plan.num_transformed() > 0 {
+            let text = slo_ir::printer::print_program;
+            let same = text(&w.program) == text(&res.program);
+            assert!(!same, "the rewrite left the program as it was");
+            progs.push((&res.program, "optimized"));
+        }
         let outs = par_map_bounded(0, &progs, |(p, _)| {
             slo::pipeline::baseline_run(p, &slo_vm::VmOptions::default()).expect("run")
         });

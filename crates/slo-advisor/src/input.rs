@@ -31,7 +31,7 @@ pub struct AdvisorInput<'a> {
 pub(crate) mod tests {
     use super::*;
     use slo_analysis::ipa::{analyze_program, LegalityConfig};
-    use slo_analysis::schemes::{affinity_graphs, block_frequencies, WeightScheme};
+    use slo_analysis::{FactTable, WeightScheme};
     use slo_ir::parser::parse;
     use slo_transform::{decide, HeuristicsConfig};
     use slo_vm::{run, VmOptions};
@@ -79,11 +79,9 @@ bb3:
 "#;
         let prog = parse(src).expect("parse");
         let out = run(&prog, &VmOptions::profiling()).expect("run");
-        let scheme = WeightScheme::Pbo(&out.feedback);
-        let graphs = affinity_graphs(&prog, &scheme);
-        let freqs = block_frequencies(&prog, &scheme);
-        let counts = slo_analysis::affinity::build_field_counts(&prog, &freqs);
-        let dcache = slo_analysis::dcache::attribute_samples(&prog, &out.feedback);
+        let facts = FactTable::new(&prog);
+        let (graphs, counts) = facts.profitability(&WeightScheme::Pbo(&out.feedback));
+        let dcache = facts.attribute_samples(&out.feedback);
         let ipa = analyze_program(&prog, &LegalityConfig::default());
         let plan = decide(&prog, &ipa, &graphs, &counts, &HeuristicsConfig::pbo());
         (prog, ipa, graphs, counts, dcache, plan)

@@ -18,21 +18,15 @@
 //!   block frequencies as counts.
 
 use crate::freq::FuncFreq;
-use crate::util::{DefUse, UseRole};
-use slo_ir::loops::LoopForest;
+use crate::util::{FactTable, UseRole};
 use slo_ir::{BlockId, FuncId, Instr, Program, RecordId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-/// A weighted set of fields of one record type accessed "together".
-#[derive(Debug, Clone, PartialEq)]
-pub struct AffinityGroup {
-    /// The record type.
-    pub record: RecordId,
-    /// Field indices in the group.
-    pub fields: BTreeSet<u32>,
-    /// Accumulated weight.
-    pub weight: f64,
-}
+/// The affinity graph of every record type.
+pub type AffinityGraphs = HashMap<RecordId, AffinityGraph>;
+
+/// Read/write counts per `(record, field)`.
+pub type FieldCountMap = HashMap<(RecordId, u32), FieldCounts>;
 
 /// Read/write counts for one field.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -172,132 +166,102 @@ impl AffinityGraph {
     }
 }
 
-/// Collect the affinity groups of one function under the given block
-/// frequencies (the FE side; groups with identical field sets are merged).
-pub fn collect_groups(prog: &Program, fid: FuncId, ff: &FuncFreq) -> Vec<AffinityGroup> {
-    let f = prog.func(fid);
-    let lf = LoopForest::compute(f);
-
-    // bucket: (record, loop-or-straightline) -> field set
-    let mut per_region: HashMap<(RecordId, Option<u32>), BTreeSet<u32>> = HashMap::new();
-    let mut region_weight: HashMap<Option<u32>, f64> = HashMap::new();
-
-    for bid in f.block_ids() {
-        let region = lf.innermost(bid).map(|l| l.0);
-        let w = match region {
-            Some(l) => ff.of(lf.get(slo_ir::loops::LoopId(l)).header),
-            None => ff.of(BlockId(0)),
-        };
-        region_weight.insert(region, w);
-        for ins in &f.block(bid).instrs {
-            if let Instr::FieldAddr { record, field, .. } = ins {
-                per_region
-                    .entry((*record, region))
-                    .or_default()
-                    .insert(*field);
-            }
-        }
-    }
-
-    // merge identical (record, field-set) groups by adding weights
-    let mut merged: BTreeMap<(RecordId, Vec<u32>), f64> = BTreeMap::new();
-    for ((rec, region), fields) in per_region {
-        let key: Vec<u32> = fields.iter().copied().collect();
-        let w = region_weight.get(&region).copied().unwrap_or(0.0);
-        *merged.entry((rec, key)).or_insert(0.0) += w;
-    }
-
-    merged
-        .into_iter()
-        .map(|((record, fields), weight)| AffinityGroup {
-            record,
-            fields: fields.into_iter().collect(),
-            weight,
-        })
-        .collect()
+/// One function's FE annotations: its affinity groups and its per-field
+/// read/write counts.
+#[derive(Debug, Clone, Default)]
+pub struct Annotations {
+    /// Weight per affinity group (fields of one record accessed together).
+    pub groups: BTreeMap<(RecordId, BTreeSet<u32>), f64>,
+    /// Read/write counts of the fields the function addresses.
+    pub counts: FieldCountMap,
 }
 
-/// Collect per-field read/write counts of one function.
-pub fn collect_field_counts(
-    prog: &Program,
-    fid: FuncId,
-    ff: &FuncFreq,
-) -> HashMap<(RecordId, u32), FieldCounts> {
-    let du = DefUse::build(prog, fid);
-    let mut out: HashMap<(RecordId, u32), FieldCounts> = HashMap::new();
-    for (_, ins) in prog.instrs_of(fid) {
-        if let Instr::FieldAddr {
-            dst, record, field, ..
-        } = ins
-        {
-            let c = out.entry((*record, *field)).or_default();
-            for u in &du.uses[dst.0 as usize] {
-                let w = ff.of(u.at.block);
-                match u.role {
-                    UseRole::LoadAddr => c.reads += w,
-                    UseRole::StoreAddr => c.writes += w,
-                    _ => {}
+impl FactTable<'_> {
+    /// Collect the affinity groups and read/write counts of `fid` under
+    /// its block frequencies, in one walk over its instructions.
+    pub fn annotate(&self, fid: FuncId, ff: &FuncFreq) -> Annotations {
+        let f = self.prog.func(fid);
+        let facts = self.func(fid);
+        // (record, innermost loop or straight-line code) -> fields, weight
+        let mut regions: BTreeMap<_, (BTreeSet<u32>, f64)> = BTreeMap::new();
+        let mut counts = FieldCountMap::new();
+        for bid in f.block_ids() {
+            let region = facts.loops.innermost(bid);
+            let w = ff.of(region.map_or(BlockId(0), |l| facts.loops.get(l).header));
+            for ins in &f.block(bid).instrs {
+                let Instr::FieldAddr {
+                    dst, record, field, ..
+                } = ins
+                else {
+                    continue;
+                };
+                let group = regions.entry((*record, region));
+                group.or_insert((BTreeSet::new(), w)).0.insert(*field);
+                let c = counts.entry((*record, *field)).or_default();
+                for u in &facts.def_use.uses[dst.0 as usize] {
+                    match u.role {
+                        UseRole::LoadAddr => c.reads += ff.of(u.at.block),
+                        UseRole::StoreAddr => c.writes += ff.of(u.at.block),
+                        _ => {}
+                    }
                 }
             }
         }
+
+        // merge identical (record, field-set) groups by adding weights
+        let mut groups = BTreeMap::new();
+        for ((rec, _), (fields, w)) in regions {
+            *groups.entry((rec, fields)).or_insert(0.0) += w;
+        }
+        Annotations { groups, counts }
     }
-    out
+
+    /// IPA aggregation: fold every defined function's [`Annotations`]
+    /// under the given frequencies into one affinity graph per record
+    /// type and program-wide read/write counts.
+    pub fn affinity(&self, freqs: &HashMap<FuncId, FuncFreq>) -> (AffinityGraphs, FieldCountMap) {
+        let types = &self.prog.types;
+        let mut graphs: AffinityGraphs = types
+            .record_ids()
+            .map(|rid| (rid, AffinityGraph::new(rid, types.record(rid).fields.len())))
+            .collect();
+        let mut counts = FieldCountMap::new();
+        let empty = FuncFreq::default();
+        for (fid, _) in self.defined() {
+            let a = self.annotate(fid, freqs.get(&fid).unwrap_or(&empty));
+            for ((rec, fields), weight) in a.groups {
+                graphs
+                    .get_mut(&rec)
+                    .expect("graph exists for every record")
+                    .add_group(&fields, weight);
+            }
+            for (key, c) in a.counts {
+                let dst = counts.entry(key).or_default();
+                dst.reads += c.reads;
+                dst.writes += c.writes;
+            }
+        }
+        (graphs, counts)
+    }
 }
 
-/// IPA aggregation: affinity graphs for every record type over the whole
-/// program under the given per-function frequencies.
-pub fn build_affinity_graphs(
-    prog: &Program,
-    freqs: &HashMap<FuncId, FuncFreq>,
-) -> HashMap<RecordId, AffinityGraph> {
-    let mut graphs: HashMap<RecordId, AffinityGraph> = HashMap::new();
-    for rid in prog.types.record_ids() {
-        graphs.insert(
-            rid,
-            AffinityGraph::new(rid, prog.types.record(rid).fields.len()),
-        );
-    }
-    let empty = FuncFreq::default();
-    for fid in prog.func_ids() {
-        if !prog.func(fid).is_defined() {
-            continue;
-        }
-        let ff = freqs.get(&fid).unwrap_or(&empty);
-        for g in collect_groups(prog, fid, ff) {
-            graphs
-                .get_mut(&g.record)
-                .expect("graph exists for every record")
-                .add_group(&g.fields, g.weight);
-        }
-    }
-    graphs
+/// The graphs of [`FactTable::affinity`] on a fresh table, kept for the
+/// `perfbench` ledger (see [`crate::legality::analyze_all_units`]).
+pub fn build_affinity_graphs(prog: &Program, freqs: &HashMap<FuncId, FuncFreq>) -> AffinityGraphs {
+    FactTable::new(prog).affinity(freqs).0
 }
 
-/// IPA aggregation of read/write counts over the whole program.
-pub fn build_field_counts(
-    prog: &Program,
-    freqs: &HashMap<FuncId, FuncFreq>,
-) -> HashMap<(RecordId, u32), FieldCounts> {
-    let mut out: HashMap<(RecordId, u32), FieldCounts> = HashMap::new();
-    let empty = FuncFreq::default();
-    for fid in prog.func_ids() {
-        if !prog.func(fid).is_defined() {
-            continue;
-        }
-        let ff = freqs.get(&fid).unwrap_or(&empty);
-        for ((r, fld), c) in collect_field_counts(prog, fid, ff) {
-            let dst = out.entry((r, fld)).or_default();
-            dst.reads += c.reads;
-            dst.writes += c.writes;
-        }
-    }
-    out
+/// The counts of [`FactTable::affinity`] on a fresh table, kept for the
+/// `perfbench` ledger (see [`crate::legality::analyze_all_units`]).
+pub fn build_field_counts(prog: &Program, freqs: &HashMap<FuncId, FuncFreq>) -> FieldCountMap {
+    FactTable::new(prog).affinity(freqs).1
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::freq::{estimate_static, BranchProbs};
+    use crate::freq::BranchProbs;
+    use crate::schemes::WeightScheme;
     use slo_ir::parser::parse;
 
     const SRC: &str = r#"
@@ -325,37 +289,39 @@ bb3:
 }
 "#;
 
-    fn graphs(src: &str) -> (slo_ir::Program, HashMap<RecordId, AffinityGraph>) {
+    fn graphs(src: &str) -> (slo_ir::Program, AffinityGraphs) {
         let p = parse(src).expect("parse");
-        let mut freqs = HashMap::new();
-        for fid in p.func_ids() {
-            if p.func(fid).is_defined() {
-                freqs.insert(fid, estimate_static(&p, fid, &BranchProbs::default()));
-            }
-        }
-        let g = build_affinity_graphs(&p, &freqs);
+        let g = FactTable::new(&p).profitability(&WeightScheme::Spbo).0;
         (p, g)
+    }
+
+    /// The annotations of `main` under SPBO.
+    fn annotate_main(p: &slo_ir::Program) -> Annotations {
+        let facts = FactTable::new(p);
+        let main = p.main().expect("main");
+        facts.annotate(main, &facts.estimate_static(main, &BranchProbs::default()))
+    }
+
+    /// The field sets and weights of `main`'s affinity groups.
+    fn groups_of_main(p: &slo_ir::Program) -> Vec<(BTreeSet<u32>, f64)> {
+        let groups = annotate_main(p).groups.into_iter();
+        groups.map(|((_, fields), w)| (fields, w)).collect()
     }
 
     #[test]
     fn loop_fields_form_one_group() {
         let p = parse(SRC).expect("parse");
-        let main = p.main().expect("main");
-        let ff = estimate_static(&p, main, &BranchProbs::default());
-        let groups = collect_groups(&p, main, &ff);
+        let groups = groups_of_main(&p);
         // one group {hot1, hot2} from the loop, one {cold} straight-line
         assert_eq!(groups.len(), 2);
-        let loop_group = groups
-            .iter()
-            .find(|g| g.fields.len() == 2)
-            .expect("loop group");
-        assert!(loop_group.fields.contains(&0) && loop_group.fields.contains(&1));
+        let loop_group = groups.iter().find(|g| g.0.len() == 2).expect("loop group");
+        assert!(loop_group.0.contains(&0) && loop_group.0.contains(&1));
         let sl_group = groups
             .iter()
-            .find(|g| g.fields.len() == 1)
+            .find(|g| g.0.len() == 1)
             .expect("straight-line group");
-        assert!(sl_group.fields.contains(&2));
-        assert!(loop_group.weight > sl_group.weight * 5.0);
+        assert!(sl_group.0.contains(&2));
+        assert!(loop_group.1 > sl_group.1 * 5.0);
     }
 
     #[test]
@@ -385,9 +351,7 @@ bb3:
     #[test]
     fn read_write_counts() {
         let p = parse(SRC).expect("parse");
-        let main = p.main().expect("main");
-        let ff = estimate_static(&p, main, &BranchProbs::default());
-        let counts = collect_field_counts(&p, main, &ff);
+        let counts = annotate_main(&p).counts;
         let node = p.types.record_by_name("node").expect("node");
         let hot1 = counts[&(node, 0)];
         let hot2 = counts[&(node, 1)];
@@ -434,13 +398,11 @@ bb6:
 }
 "#;
         let p = parse(src).expect("parse");
-        let main = p.main().expect("main");
-        let ff = estimate_static(&p, main, &BranchProbs::default());
-        let groups = collect_groups(&p, main, &ff);
-        let a_groups: Vec<_> = groups.iter().filter(|g| g.fields.contains(&0)).collect();
+        let groups = groups_of_main(&p);
+        let a_groups: Vec<_> = groups.iter().filter(|g| g.0.contains(&0)).collect();
         assert_eq!(a_groups.len(), 1, "identical groups must merge");
         // weight is the sum of both loop header frequencies (~8.3 each)
-        assert!(a_groups[0].weight > 14.0);
+        assert!(a_groups[0].1 > 14.0);
     }
 
     #[test]
@@ -476,22 +438,11 @@ bb6:
 }
 "#;
         let p = parse(src).expect("parse");
-        let main = p.main().expect("main");
-        let ff = estimate_static(&p, main, &BranchProbs::default());
-        let groups = collect_groups(&p, main, &ff);
+        let groups = groups_of_main(&p);
         assert_eq!(groups.len(), 2);
-        let inner = groups
-            .iter()
-            .find(|g| g.fields.contains(&0))
-            .expect("inner");
-        let outer = groups
-            .iter()
-            .find(|g| g.fields.contains(&1))
-            .expect("outer");
-        assert!(
-            inner.weight > outer.weight * 4.0,
-            "inner loop must be hotter"
-        );
+        let inner = groups.iter().find(|g| g.0.contains(&0)).expect("inner");
+        let outer = groups.iter().find(|g| g.0.contains(&1)).expect("outer");
+        assert!(inner.1 > outer.1 * 4.0, "inner loop must be hotter");
     }
 
     #[test]

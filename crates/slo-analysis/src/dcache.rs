@@ -6,8 +6,9 @@
 //! address, yielding per-field miss counts and latencies — the paper's
 //! DMISS and DLAT columns and the numbers shown by the advisory tool.
 
-use crate::util::DefUse;
+use crate::util::{DefUse, FactTable};
 use slo_ir::{FuncId, Instr, Operand, Program, RecordId, Reg};
+use slo_vm::profile::{FuncProfile, StrideInfo};
 use slo_vm::Feedback;
 use std::collections::HashMap;
 
@@ -33,39 +34,54 @@ impl FieldDcache {
     }
 }
 
-/// Attribute all samples in `fb` to record fields.
-///
-/// Loads/stores whose address register cannot be traced to a unique
-/// `FieldAddr` within the same function (e.g. plain array element access)
-/// are skipped — same as real tool chains, which can only attribute what
-/// the compiler's symbolic information covers.
-pub fn attribute_samples(prog: &Program, fb: &Feedback) -> HashMap<(RecordId, u32), FieldDcache> {
-    let mut out: HashMap<(RecordId, u32), FieldDcache> = HashMap::new();
-    let period = fb.sample_period.max(1) as f64;
-
-    for fid in prog.func_ids() {
-        let f = prog.func(fid);
-        if !f.is_defined() {
-            continue;
-        }
-        let Some(fp) = fb.func(&f.name) else {
-            continue;
-        };
-        if fp.samples.is_empty() {
-            continue;
-        }
-        let du = DefUse::build(prog, fid);
-        for ((block, idx), s) in &fp.samples {
-            let Some(field) = field_of_instr(prog, fid, &du, *block, *idx) else {
-                continue;
-            };
+impl FactTable<'_> {
+    /// Attribute all samples in `fb` to record fields.
+    ///
+    /// Loads/stores whose address register cannot be traced to a unique
+    /// `FieldAddr` within the same function (e.g. plain array element
+    /// access) are skipped — same as real tool chains, which can only
+    /// attribute what the compiler's symbolic information covers.
+    pub fn attribute_samples(&self, fb: &Feedback) -> HashMap<(RecordId, u32), FieldDcache> {
+        let mut out: HashMap<(RecordId, u32), FieldDcache> = HashMap::new();
+        let period = fb.sample_period.max(1) as f64;
+        for (field, s) in self.by_field(fb, |fp| &fp.samples) {
             let d = out.entry(field).or_default();
             d.misses += s.misses as f64 * period;
             d.total_latency += s.total_latency as f64 * period;
             d.accesses += s.samples as f64 * period;
         }
+        out
     }
-    out
+
+    /// Attribute stride records to fields (the paper's §2.4 stride
+    /// information, surfaced per field by the advisory tool). When
+    /// several sites touch the same field, the stride with the most
+    /// evidence wins.
+    pub fn attribute_strides(&self, fb: &Feedback) -> HashMap<(RecordId, u32), StrideInfo> {
+        let mut out: HashMap<(RecordId, u32), StrideInfo> = HashMap::new();
+        for (field, st) in self.by_field(fb, |fp| &fp.strides) {
+            let e = out.entry(field).or_default();
+            if st.hits > e.hits {
+                *e = *st;
+            }
+        }
+        out
+    }
+
+    /// The entries of one per-instruction table of `fb` whose
+    /// instruction traces back to a field, each with that field.
+    fn by_field<'a, T: 'a>(
+        &'a self,
+        fb: &'a Feedback,
+        table: fn(&FuncProfile) -> &HashMap<(u32, u32), T>,
+    ) -> impl Iterator<Item = ((RecordId, u32), &'a T)> + 'a {
+        self.defined().flat_map(move |(fid, facts)| {
+            let sites = fb.func(&self.prog.func(fid).name).map(table);
+            sites.into_iter().flatten().filter_map(move |(&(b, i), v)| {
+                Some((field_of_instr(self.prog, fid, &facts.def_use, b, i)?, v))
+            })
+        })
+    }
 }
 
 /// Map the instruction at `(block, idx)` of `fid` to the field it
@@ -103,39 +119,6 @@ fn chase_fieldaddr(prog: &Program, du: &DefUse, r: Reg, depth: u32) -> Option<(R
         } => chase_fieldaddr(prog, du, *s, depth + 1),
         _ => None,
     }
-}
-
-/// Attribute stride records to fields (the paper's §2.4 stride
-/// information, surfaced per field by the advisory tool). When several
-/// sites touch the same field, the stride with the most evidence wins.
-pub fn attribute_strides(
-    prog: &Program,
-    fb: &Feedback,
-) -> HashMap<(RecordId, u32), slo_vm::profile::StrideInfo> {
-    let mut out: HashMap<(RecordId, u32), slo_vm::profile::StrideInfo> = HashMap::new();
-    for fid in prog.func_ids() {
-        let f = prog.func(fid);
-        if !f.is_defined() {
-            continue;
-        }
-        let Some(fp) = fb.func(&f.name) else {
-            continue;
-        };
-        if fp.strides.is_empty() {
-            continue;
-        }
-        let du = DefUse::build(prog, fid);
-        for ((block, idx), st) in &fp.strides {
-            let Some(field) = field_of_instr(prog, fid, &du, *block, *idx) else {
-                continue;
-            };
-            let e = out.entry(field).or_default();
-            if st.hits > e.hits {
-                *e = *st;
-            }
-        }
-    }
-    out
 }
 
 /// Relative per-field miss hotness for one record (percent of hottest),
@@ -220,7 +203,7 @@ bb5:
         let mut opts = VmOptions::sampling_only();
         opts.sample_period = 1;
         let out = run(&p, &opts).expect("run");
-        let attr = attribute_samples(&p, &out.feedback);
+        let attr = FactTable::new(&p).attribute_samples(&out.feedback);
         (p, attr)
     }
 
@@ -263,8 +246,9 @@ bb5:
         o16.sample_period = 16;
         let sparse = run(&p, &o16).expect("run");
         let cell = p.types.record_by_name("cell").expect("cell");
-        let a_full = attribute_samples(&p, &full.feedback)[&(cell, 0)];
-        let a_sparse = attribute_samples(&p, &sparse.feedback)
+        let a_full = FactTable::new(&p).attribute_samples(&full.feedback)[&(cell, 0)];
+        let a_sparse = FactTable::new(&p)
+            .attribute_samples(&sparse.feedback)
             .get(&(cell, 0))
             .copied()
             .unwrap_or_default();
@@ -292,7 +276,7 @@ bb0:
         let mut opts = VmOptions::sampling_only();
         opts.sample_period = 1;
         let out = run(&p, &opts).expect("run");
-        let attr = attribute_samples(&p, &out.feedback);
+        let attr = FactTable::new(&p).attribute_samples(&out.feedback);
         assert!(attr.is_empty());
     }
 }

@@ -4,13 +4,13 @@
 //!
 //! * **Profile-based** ([`from_profile`]): block counts reconstructed from
 //!   the feedback file's edge counts (the PBO use phase).
-//! * **Static** ([`estimate_static`]): source-construct probability
+//! * **Static** ([`FactTable::estimate_static`]): source-construct probability
 //!   heuristics after Wu & Larus — a loop back edge executes with
 //!   probability 0.88 (0.93 for floating-point loops: "a loop is assumed
 //!   to execute about 8 times on average"), if-then-else branches split
 //!   50/50 — propagated through the loop nest with cyclic probabilities.
 
-use slo_ir::loops::LoopForest;
+use crate::util::FactTable;
 use slo_ir::{BlockId, FuncId, Instr, Operand, Program, Type};
 use slo_vm::Feedback;
 use std::collections::HashMap;
@@ -119,162 +119,140 @@ fn loop_is_fp(prog: &Program, fid: FuncId, blocks: &[BlockId]) -> bool {
     false
 }
 
-/// Estimate frequencies statically (entry frequency 1.0).
-pub fn estimate_static(prog: &Program, fid: FuncId, probs: &BranchProbs) -> FuncFreq {
-    let f = prog.func(fid);
-    let n = f.blocks.len();
-    if n == 0 {
-        return FuncFreq::default();
-    }
-    let lf = LoopForest::compute(f);
-    let dt = slo_ir::dom::DomTree::compute(f);
+impl FactTable<'_> {
+    /// Estimate the frequencies of `fid` statically (entry frequency
+    /// 1.0), from its loop forest and predecessor lists in the table.
+    pub fn estimate_static(&self, fid: FuncId, probs: &BranchProbs) -> FuncFreq {
+        let prog = self.prog;
+        let f = prog.func(fid);
+        let n = f.blocks.len();
+        if n == 0 {
+            return FuncFreq::default();
+        }
+        let (lf, preds) = (&self.func(fid).loops, &self.func(fid).preds);
+        let dt = slo_ir::dom::DomTree::compute(f);
 
-    // --- per-edge probabilities ---------------------------------------
-    let mut prob: HashMap<(u32, u32), f64> = HashMap::new();
-    for bid in f.block_ids() {
-        let succs = f.block(bid).successors();
-        match succs.len() {
-            0 => {}
-            1 => {
-                prob.insert((bid.0, succs[0].0), 1.0);
-            }
-            _ => {
-                // loop heuristic: prefer the successor that stays in the
-                // innermost loop containing this block.
-                let in_loop = |s: BlockId| -> bool {
-                    match lf.innermost(bid) {
-                        Some(l) => lf.get(l).blocks.contains(&s),
-                        None => false,
+        // --- per-edge probabilities ---------------------------------------
+        let mut prob: HashMap<(u32, u32), f64> = HashMap::new();
+        for bid in f.block_ids() {
+            let succs = f.block(bid).successors();
+            match succs.len() {
+                0 => {}
+                1 => {
+                    prob.insert((bid.0, succs[0].0), 1.0);
+                }
+                _ => {
+                    // loop heuristic: prefer the successor that stays in the
+                    // innermost loop containing this block.
+                    let in_loop = |s: BlockId| -> bool {
+                        match lf.innermost(bid) {
+                            Some(l) => lf.get(l).blocks.contains(&s),
+                            None => false,
+                        }
+                    };
+                    let stay0 = in_loop(succs[0]);
+                    let stay1 = in_loop(succs[1]);
+                    if stay0 != stay1 {
+                        let lid = lf.innermost(bid).expect("block is in a loop");
+                        let p = if loop_is_fp(prog, fid, &lf.get(lid).blocks) {
+                            probs.fp_loop_back
+                        } else {
+                            probs.int_loop_back
+                        };
+                        let (stay, exit) = if stay0 {
+                            (succs[0], succs[1])
+                        } else {
+                            (succs[1], succs[0])
+                        };
+                        prob.insert((bid.0, stay.0), p);
+                        prob.insert((bid.0, exit.0), 1.0 - p);
+                    } else {
+                        for s in &succs {
+                            prob.insert((bid.0, s.0), 1.0 / succs.len() as f64);
+                        }
                     }
-                };
-                let stay0 = in_loop(succs[0]);
-                let stay1 = in_loop(succs[1]);
-                if stay0 != stay1 {
-                    let lid = lf.innermost(bid).expect("block is in a loop");
-                    let p = if loop_is_fp(prog, fid, &lf.get(lid).blocks) {
-                        probs.fp_loop_back
-                    } else {
-                        probs.int_loop_back
-                    };
-                    let (stay, exit) = if stay0 {
-                        (succs[0], succs[1])
-                    } else {
-                        (succs[1], succs[0])
-                    };
-                    prob.insert((bid.0, stay.0), p);
-                    prob.insert((bid.0, exit.0), 1.0 - p);
+                }
+            }
+        }
+
+        // --- propagation with cyclic probabilities (Wu–Larus) --------------
+        let mut cyclic: HashMap<u32, f64> = HashMap::new();
+        let mut ff = FuncFreq {
+            block: vec![0.0; n],
+            edge: HashMap::new(),
+            entry: 1.0,
+        };
+
+        // is (a, b) a back edge? b must be a loop header whose loop contains a.
+        let is_back_edge = |a: BlockId, b: BlockId| -> bool {
+            lf.iter()
+                .any(|(_, l)| l.header == b && l.blocks.contains(&a))
+        };
+
+        // process loops innermost-first, then the whole function
+        let mut loop_order: Vec<_> = lf.iter().map(|(id, l)| (id, l.depth)).collect();
+        loop_order.sort_by_key(|(_, d)| std::cmp::Reverse(*d));
+
+        let rpo: Vec<BlockId> = dt.rpo().to_vec();
+
+        let run_pass = |head: BlockId,
+                        region: Option<&[BlockId]>,
+                        cyclic: &mut HashMap<u32, f64>,
+                        ff: &mut FuncFreq| {
+            let in_region = |b: BlockId| region.map(|r| r.contains(&b)).unwrap_or(true);
+            let mut bfreq: HashMap<u32, f64> = HashMap::new();
+            let mut efreq: HashMap<(u32, u32), f64> = HashMap::new();
+            let mut cp_head = 0.0f64;
+            for &b in &rpo {
+                if !in_region(b) {
+                    continue;
+                }
+                let mut bf = if b == head {
+                    1.0
                 } else {
-                    for s in &succs {
-                        prob.insert((bid.0, s.0), 1.0 / succs.len() as f64);
+                    // sum non-back in-edges from inside the region
+                    preds[b.index()]
+                        .iter()
+                        .filter(|p| in_region(**p) && !is_back_edge(**p, b))
+                        .map(|p| efreq.get(&(p.0, b.0)).copied().unwrap_or(0.0))
+                        .sum()
+                };
+                // inner loop head: amplify by its cyclic probability (the
+                // entry too, in the final pass, if it is a loop header)
+                if b != head || region.is_none() {
+                    if let Some(cp) = cyclic.get(&b.0) {
+                        bf /= 1.0 - cp.min(0.98);
+                    }
+                }
+                bfreq.insert(b.0, bf);
+                for s in f.block(b).successors() {
+                    let p = prob.get(&(b.0, s.0)).copied().unwrap_or(0.0);
+                    let ef = p * bf;
+                    efreq.insert((b.0, s.0), ef);
+                    if s == head && in_region(b) {
+                        cp_head += ef;
                     }
                 }
             }
-        }
-    }
-
-    // --- propagation with cyclic probabilities (Wu–Larus) --------------
-    let mut cyclic: HashMap<u32, f64> = HashMap::new();
-    let mut ff = FuncFreq {
-        block: vec![0.0; n],
-        edge: HashMap::new(),
-        entry: 1.0,
-    };
-
-    // is (a, b) a back edge? b must be a loop header whose loop contains a.
-    let is_back_edge = |a: BlockId, b: BlockId| -> bool {
-        lf.iter()
-            .any(|(_, l)| l.header == b && l.blocks.contains(&a))
-    };
-
-    // process loops innermost-first, then the whole function
-    let mut loop_order: Vec<_> = lf.iter().map(|(id, l)| (id, l.depth)).collect();
-    loop_order.sort_by_key(|(_, d)| std::cmp::Reverse(*d));
-
-    let rpo: Vec<BlockId> = dt.rpo().to_vec();
-
-    let run_pass = |head: BlockId,
-                    region: Option<&[BlockId]>,
-                    cyclic: &mut HashMap<u32, f64>,
-                    ff: &mut FuncFreq| {
-        let in_region = |b: BlockId| region.map(|r| r.contains(&b)).unwrap_or(true);
-        let mut bfreq: HashMap<u32, f64> = HashMap::new();
-        let mut efreq: HashMap<(u32, u32), f64> = HashMap::new();
-        let mut cp_head = 0.0f64;
-        for &b in &rpo {
-            if !in_region(b) {
-                continue;
-            }
-            let mut bf = if b == head {
-                1.0
+            if region.is_some() {
+                cyclic.insert(head.0, cp_head);
             } else {
-                // sum non-back in-edges from inside the region
-                let preds = prog.func(fid).predecessors();
-                preds[b.index()]
-                    .iter()
-                    .filter(|p| in_region(**p) && !is_back_edge(**p, b))
-                    .map(|p| efreq.get(&(p.0, b.0)).copied().unwrap_or(0.0))
-                    .sum()
-            };
-            // inner loop head: amplify by its cyclic probability
-            if b != head {
-                if let Some(cp) = cyclic.get(&b.0) {
-                    bf /= 1.0 - cp.min(0.98);
+                // final pass: install absolute frequencies
+                for (b, v) in bfreq {
+                    ff.block[b as usize] = v;
                 }
+                ff.edge = efreq;
             }
-            bfreq.insert(b.0, bf);
-            for s in prog.func(fid).block(b).successors() {
-                let p = prob.get(&(b.0, s.0)).copied().unwrap_or(0.0);
-                let ef = p * bf;
-                efreq.insert((b.0, s.0), ef);
-                if s == head && in_region(b) {
-                    cp_head += ef;
-                }
-            }
-        }
-        if region.is_some() {
-            cyclic.insert(head.0, cp_head);
-        } else {
-            // final pass: install absolute frequencies
-            for (b, v) in bfreq {
-                ff.block[b as usize] = v;
-            }
-            ff.edge = efreq;
-        }
-    };
+        };
 
-    for (lid, _) in loop_order {
-        let l = lf.get(lid);
-        run_pass(l.header, Some(&l.blocks), &mut cyclic, &mut ff);
-    }
-    // final pass over the whole function; the entry also benefits from its
-    // own cyclic probability if it happens to be a loop header.
-    {
-        let entry = BlockId(0);
-        let in_region = |_: BlockId| true;
-        let mut efreq: HashMap<(u32, u32), f64> = HashMap::new();
-        let preds = prog.func(fid).predecessors();
-        for &b in &rpo {
-            let mut bf = if b == entry {
-                1.0
-            } else {
-                preds[b.index()]
-                    .iter()
-                    .filter(|p| in_region(**p) && !is_back_edge(**p, b))
-                    .map(|p| efreq.get(&(p.0, b.0)).copied().unwrap_or(0.0))
-                    .sum()
-            };
-            if let Some(cp) = cyclic.get(&b.0) {
-                bf /= 1.0 - cp.min(0.98);
-            }
-            ff.block[b.index()] = bf;
-            for s in prog.func(fid).block(b).successors() {
-                let p = prob.get(&(b.0, s.0)).copied().unwrap_or(0.0);
-                efreq.insert((b.0, s.0), p * bf);
-            }
+        for (lid, _) in loop_order {
+            let l = lf.get(lid);
+            run_pass(l.header, Some(&l.blocks), &mut cyclic, &mut ff);
         }
-        ff.edge = efreq;
+        // final pass over the whole function
+        run_pass(BlockId(0), None, &mut cyclic, &mut ff);
+        ff
     }
-    ff
 }
 
 #[cfg(test)]
@@ -286,7 +264,7 @@ mod tests {
     fn freq_of(src: &str) -> (slo_ir::Program, FuncFreq) {
         let p = parse(src).expect("parse");
         let main = p.main().expect("main");
-        let ff = estimate_static(&p, main, &BranchProbs::default());
+        let ff = FactTable::new(&p).estimate_static(main, &BranchProbs::default());
         (p, ff)
     }
 
@@ -470,8 +448,9 @@ bb3:
 "#;
         let p = parse(src).expect("parse");
         let main = p.main().expect("main");
-        let low = estimate_static(&p, main, &BranchProbs::default());
-        let high = estimate_static(&p, main, &BranchProbs::raised());
+        let facts = FactTable::new(&p);
+        let low = facts.estimate_static(main, &BranchProbs::default());
+        let high = facts.estimate_static(main, &BranchProbs::raised());
         assert!(high.block[2] > low.block[2] * 2.0);
     }
 }

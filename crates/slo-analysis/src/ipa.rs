@@ -151,7 +151,7 @@ pub fn aggregate(prog: &Program, summaries: &[LegalitySummary], cfg: &LegalityCo
 
 /// Convenience: FE over all units, then IPA aggregation.
 pub fn analyze_program(prog: &Program, cfg: &LegalityConfig) -> IpaResult {
-    let summaries = crate::legality::analyze_all_units(prog);
+    let summaries = crate::util::FactTable::new(prog).analyze_all_units();
     aggregate(prog, &summaries, cfg)
 }
 

@@ -16,9 +16,10 @@
 //! recursive call contributes `damping` of its caller's count per round),
 //! which converges for any call-frequency matrix.
 
-use crate::freq::{estimate_static, BranchProbs, FuncFreq};
+use crate::freq::{BranchProbs, FuncFreq};
+use crate::util::FactTable;
 use slo_ir::callgraph::CallGraph;
-use slo_ir::{FuncId, Program};
+use slo_ir::FuncId;
 use std::collections::HashMap;
 
 /// Configuration for the ISPBO computation.
@@ -73,100 +74,101 @@ pub struct IspboResult {
     pub global_counts: HashMap<FuncId, f64>,
 }
 
-/// Compute inter-procedurally scaled static frequencies.
-pub fn interprocedural_freqs(prog: &Program, cfg: &IspboConfig) -> IspboResult {
-    let cg = CallGraph::build(prog);
+impl FactTable<'_> {
+    /// Compute inter-procedurally scaled static frequencies.
+    pub fn interprocedural_freqs(&self, cfg: &IspboConfig) -> IspboResult {
+        let prog = self.prog;
+        let cg = CallGraph::build(prog);
 
-    // 1. Local estimates (entry count 1.0 each).
-    let mut local: HashMap<FuncId, FuncFreq> = HashMap::new();
-    for fid in prog.func_ids() {
-        if prog.func(fid).is_defined() {
-            local.insert(fid, estimate_static(prog, fid, &cfg.probs));
-        }
-    }
+        // 1. Local estimates (entry count 1.0 each).
+        let local: HashMap<FuncId, FuncFreq> = self
+            .defined()
+            .map(|(fid, _)| (fid, self.estimate_static(fid, &cfg.probs)))
+            .collect();
 
-    // 2. Local call-site frequencies: E_loc(c) = local freq of the block
-    //    containing the call.
-    let site_local_freq = |caller: FuncId, block: slo_ir::BlockId| -> f64 {
-        local.get(&caller).map(|ff| ff.of(block)).unwrap_or(0.0)
-    };
+        // 2. Local call-site frequencies: E_loc(c) = local freq of the block
+        //    containing the call.
+        let site_local_freq = |caller: FuncId, block: slo_ir::BlockId| -> f64 {
+            local.get(&caller).map(|ff| ff.of(block)).unwrap_or(0.0)
+        };
 
-    // 3. Global counts via topological SCC order (Tarjan emits callees
-    //    first; we reverse to get callers first).
-    let mut n_g: HashMap<FuncId, f64> = HashMap::new();
-    let main = prog.main();
-    let sccs = cg.sccs(prog);
+        // 3. Global counts via topological SCC order (Tarjan emits callees
+        //    first; we reverse to get callers first).
+        let mut n_g: HashMap<FuncId, f64> = HashMap::new();
+        let main = prog.main();
+        let sccs = cg.sccs(prog);
 
-    for scc in sccs.iter().rev() {
-        // external inflow (from outside this SCC)
-        let mut ext: HashMap<FuncId, f64> = HashMap::new();
-        for &f in scc {
-            let mut inflow = 0.0;
-            for site in cg.calls_to(f) {
-                if scc.contains(&site.caller) {
-                    continue;
+        for scc in sccs.iter().rev() {
+            // external inflow (from outside this SCC)
+            let mut ext: HashMap<FuncId, f64> = HashMap::new();
+            for &f in scc {
+                let mut inflow = 0.0;
+                for site in cg.calls_to(f) {
+                    if scc.contains(&site.caller) {
+                        continue;
+                    }
+                    let caller_ng = n_g.get(&site.caller).copied().unwrap_or(0.0);
+                    inflow += site_local_freq(site.caller, site.block) * caller_ng;
                 }
-                let caller_ng = n_g.get(&site.caller).copied().unwrap_or(0.0);
-                inflow += site_local_freq(site.caller, site.block) * caller_ng;
+                if Some(f) == main {
+                    inflow += 1.0;
+                } else if inflow == 0.0 && cg.calls_to(f).next().is_none() {
+                    // unreached root (alternate entry point): assume one entry
+                    inflow = 1.0;
+                }
+                ext.insert(f, inflow);
             }
-            if Some(f) == main {
-                inflow += 1.0;
-            } else if inflow == 0.0 && cg.calls_to(f).next().is_none() {
-                // unreached root (alternate entry point): assume one entry
-                inflow = 1.0;
-            }
-            ext.insert(f, inflow);
-        }
 
-        let recursive =
-            scc.len() > 1 || scc.iter().any(|&f| cg.calls_from(f).any(|s| s.callee == f));
-        if !recursive {
-            for &f in scc {
-                n_g.insert(f, ext[&f]);
+            let recursive =
+                scc.len() > 1 || scc.iter().any(|&f| cg.calls_from(f).any(|s| s.callee == f));
+            if !recursive {
+                for &f in scc {
+                    n_g.insert(f, ext[&f]);
+                }
+                continue;
             }
-            continue;
-        }
 
-        // Damped geometric fixpoint for recursive SCCs.
-        let mut cur: HashMap<FuncId, f64> = ext.clone();
-        for _ in 0..cfg.rounds {
-            let mut next = ext.clone();
-            for &f in scc {
-                for site in cg.calls_from(f) {
-                    if scc.contains(&site.callee) {
-                        let contrib = site_local_freq(f, site.block)
-                            * cur.get(&f).copied().unwrap_or(0.0)
-                            * cfg.damping;
-                        *next.entry(site.callee).or_insert(0.0) += contrib;
+            // Damped geometric fixpoint for recursive SCCs.
+            let mut cur: HashMap<FuncId, f64> = ext.clone();
+            for _ in 0..cfg.rounds {
+                let mut next = ext.clone();
+                for &f in scc {
+                    for site in cg.calls_from(f) {
+                        if scc.contains(&site.callee) {
+                            let contrib = site_local_freq(f, site.block)
+                                * cur.get(&f).copied().unwrap_or(0.0)
+                                * cfg.damping;
+                            *next.entry(site.callee).or_insert(0.0) += contrib;
+                        }
                     }
                 }
+                cur = next;
             }
-            cur = next;
+            for &f in scc {
+                n_g.insert(f, cur.get(&f).copied().unwrap_or(0.0));
+            }
         }
-        for &f in scc {
-            n_g.insert(f, cur.get(&f).copied().unwrap_or(0.0));
-        }
-    }
 
-    // 4. Scale local frequencies by S^E.
-    let mut freqs = HashMap::new();
-    for (fid, ff) in &local {
-        let s = n_g.get(fid).copied().unwrap_or(0.0).max(0.0);
-        let scale = if s == 0.0 { 0.0 } else { s.powf(cfg.exponent) };
-        let mut scaled = ff.clone();
-        for b in &mut scaled.block {
-            *b *= scale;
+        // 4. Scale local frequencies by S^E.
+        let mut freqs = HashMap::new();
+        for (fid, ff) in &local {
+            let s = n_g.get(fid).copied().unwrap_or(0.0).max(0.0);
+            let scale = if s == 0.0 { 0.0 } else { s.powf(cfg.exponent) };
+            let mut scaled = ff.clone();
+            for b in &mut scaled.block {
+                *b *= scale;
+            }
+            for v in scaled.edge.values_mut() {
+                *v *= scale;
+            }
+            scaled.entry *= scale;
+            freqs.insert(*fid, scaled);
         }
-        for v in scaled.edge.values_mut() {
-            *v *= scale;
-        }
-        scaled.entry *= scale;
-        freqs.insert(*fid, scaled);
-    }
 
-    IspboResult {
-        freqs,
-        global_counts: n_g,
+        IspboResult {
+            freqs,
+            global_counts: n_g,
+        }
     }
 }
 
@@ -200,7 +202,7 @@ bb3:
 }
 "#;
         let p = parse(src).expect("parse");
-        let res = interprocedural_freqs(&p, &IspboConfig::default());
+        let res = FactTable::new(&p).interprocedural_freqs(&IspboConfig::default());
         let leaf = p.func_by_name("leaf").expect("leaf");
         let main = p.main().expect("main");
         // leaf N_g = loop body freq (~7.3)
@@ -249,7 +251,7 @@ bb3:
 }
 "#;
         let p = parse(src).expect("parse");
-        let res = interprocedural_freqs(&p, &IspboConfig::without_exponent());
+        let res = FactTable::new(&p).interprocedural_freqs(&IspboConfig::without_exponent());
         let fb = p.func_by_name("b").expect("b");
         let fc = p.func_by_name("c").expect("c");
         let ng_b = res.global_counts[&fb];
@@ -278,7 +280,7 @@ bb0:
 }
 "#;
         let p = parse(src).expect("parse");
-        let res = interprocedural_freqs(&p, &IspboConfig::default());
+        let res = FactTable::new(&p).interprocedural_freqs(&IspboConfig::default());
         let f = p.func_by_name("f").expect("f");
         let ng = res.global_counts[&f];
         assert!(ng.is_finite());
@@ -311,8 +313,8 @@ bb3:
 }
 "#;
         let p = parse(src).expect("parse");
-        let with = interprocedural_freqs(&p, &IspboConfig::default());
-        let without = interprocedural_freqs(&p, &IspboConfig::without_exponent());
+        let with = FactTable::new(&p).interprocedural_freqs(&IspboConfig::default());
+        let without = FactTable::new(&p).interprocedural_freqs(&IspboConfig::without_exponent());
         let hot = p.func_by_name("hot").expect("hot");
         assert!(with.freqs[&hot].block[0] > without.freqs[&hot].block[0]);
     }
@@ -330,7 +332,7 @@ bb0:
 }
 "#;
         let p = parse(src).expect("parse");
-        let res = interprocedural_freqs(&p, &IspboConfig::default());
+        let res = FactTable::new(&p).interprocedural_freqs(&IspboConfig::default());
         let orphan = p.func_by_name("orphan").expect("orphan");
         assert_eq!(res.global_counts[&orphan], 1.0);
     }

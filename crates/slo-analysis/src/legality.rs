@@ -16,7 +16,7 @@
 //! | MSET | the type is used in a memory-streaming op (`memcpy`/`memset`) |
 //! | NEST | the type is nested by value inside another type |
 
-use crate::util::{reg_types, DefUse, UseRole};
+use crate::util::{FactTable, FuncFacts, UseRole};
 use slo_ir::{FuncId, FuncKind, Instr, InstrRef, Operand, Program, RecordId, Reg};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
@@ -143,68 +143,76 @@ impl LegalitySummary {
     }
 }
 
-/// Run the FE legality pass over one compilation unit.
-pub fn analyze_unit(prog: &Program, unit: usize) -> LegalitySummary {
-    let mut sum = LegalitySummary {
-        unit,
-        ..Default::default()
-    };
+impl FactTable<'_> {
+    /// Run the FE legality pass over one compilation unit.
+    pub fn analyze_unit(&self, unit: usize) -> LegalitySummary {
+        let prog = self.prog;
+        let mut sum = LegalitySummary {
+            unit,
+            ..Default::default()
+        };
 
-    // NEST is a whole-type-table property; attribute it in unit 0 only so
-    // merging across units does not double count.
-    if unit == 0 {
-        for rid in prog.types.nested_records() {
-            sum.types
-                .entry(rid)
-                .or_default()
-                .violate(LegalityTest::Nest);
-        }
-    }
-
-    // Global variable / pointer / array attributes (also unit 0 only).
-    if unit == 0 {
-        for gid in prog.global_ids() {
-            let g = prog.global(gid);
-            match prog.types.get(g.ty) {
-                slo_ir::Type::Record(r) => {
-                    sum.types.entry(*r).or_default().has_global_var = true;
-                }
-                slo_ir::Type::Ptr(_) => {
-                    if let Some(r) = prog.types.involved_record(g.ty) {
-                        sum.types.entry(r).or_default().has_global_ptr = true;
-                    }
-                }
-                slo_ir::Type::Array(..) => {
-                    if let Some(r) = prog.types.involved_record(g.ty) {
-                        let o = sum.types.entry(r).or_default();
-                        o.has_static_array = true;
-                    }
-                }
-                _ => {}
+        // NEST is a whole-type-table property; attribute it in unit 0 only so
+        // merging across units does not double count.
+        if unit == 0 {
+            for rid in prog.types.nested_records() {
+                sum.types
+                    .entry(rid)
+                    .or_default()
+                    .violate(LegalityTest::Nest);
             }
         }
-    }
 
-    for fid in prog.func_ids() {
-        let f = prog.func(fid);
-        if !f.is_defined() || f.unit != unit {
-            continue;
+        // Global variable / pointer / array attributes (also unit 0 only).
+        if unit == 0 {
+            for gid in prog.global_ids() {
+                let g = prog.global(gid);
+                match prog.types.get(g.ty) {
+                    slo_ir::Type::Record(r) => {
+                        sum.types.entry(*r).or_default().has_global_var = true;
+                    }
+                    slo_ir::Type::Ptr(_) => {
+                        if let Some(r) = prog.types.involved_record(g.ty) {
+                            sum.types.entry(r).or_default().has_global_ptr = true;
+                        }
+                    }
+                    slo_ir::Type::Array(..) => {
+                        if let Some(r) = prog.types.involved_record(g.ty) {
+                            let o = sum.types.entry(r).or_default();
+                            o.has_static_array = true;
+                        }
+                    }
+                    _ => {}
+                }
+            }
         }
-        analyze_function(prog, fid, &mut sum);
+
+        for (fid, facts) in self.defined() {
+            if prog.func(fid).unit == unit {
+                analyze_function(prog, fid, facts, &mut sum);
+            }
+        }
+        sum
     }
-    sum
+
+    /// Run the FE pass for every unit of the program.
+    pub fn analyze_all_units(&self) -> Vec<LegalitySummary> {
+        (0..self.prog.units.len())
+            .map(|u| self.analyze_unit(u))
+            .collect()
+    }
 }
 
-/// Run the FE pass for every unit of the program.
+/// [`FactTable::analyze_all_units`] of a fresh table, kept only because
+/// the `perfbench` ledger's copy of the pipeline calls it (and three more
+/// such wrappers) by this signature. They go when the ledger reads the
+/// service's own spans instead (ROADMAP item 4).
 pub fn analyze_all_units(prog: &Program) -> Vec<LegalitySummary> {
-    (0..prog.units.len())
-        .map(|u| analyze_unit(prog, u))
-        .collect()
+    FactTable::new(prog).analyze_all_units()
 }
 
-fn analyze_function(prog: &Program, fid: FuncId, sum: &mut LegalitySummary) {
-    let du = DefUse::build(prog, fid);
-    let tys = reg_types(prog, fid);
+fn analyze_function(prog: &Program, fid: FuncId, facts: &FuncFacts, sum: &mut LegalitySummary) {
+    let tys = &facts.reg_types;
 
     // Registers that (transitively through Assign) hold fresh allocation
     // results — casts from these are the tolerated malloc() casts.
@@ -273,7 +281,7 @@ fn analyze_function(prog: &Program, fid: FuncId, sum: &mut LegalitySummary) {
             Instr::FieldAddr { dst, record, .. } => {
                 // ATKN: the field address escapes beyond an immediate
                 // load/store (call arguments are tolerated, as in the paper).
-                let escaping = du.uses[dst.0 as usize].iter().any(|u| {
+                let escaping = facts.def_use.uses[dst.0 as usize].iter().any(|u| {
                     !matches!(
                         u.role,
                         UseRole::LoadAddr | UseRole::StoreAddr | UseRole::CallArg
@@ -370,7 +378,7 @@ mod tests {
 
     fn summary(src: &str) -> (slo_ir::Program, LegalitySummary) {
         let p = parse(src).expect("parse");
-        let s = analyze_unit(&p, 0);
+        let s = FactTable::new(&p).analyze_unit(0);
         (p, s)
     }
 
@@ -657,8 +665,9 @@ bb0:
         let f1 = p.func_by_name("f1").expect("f1");
         p.add_unit("second.c");
         p.func_mut(f1).unit = 1;
-        let s0 = analyze_unit(&p, 0);
-        let s1 = analyze_unit(&p, 1);
+        let facts = FactTable::new(&p);
+        let s0 = facts.analyze_unit(0);
+        let s1 = facts.analyze_unit(1);
         let node = p.types.record_by_name("node").expect("node");
         assert!(s0.of(node).violations.is_empty());
         assert_eq!(s1.of(node).violations.get(&LegalityTest::Cstf), Some(&1));

@@ -1,7 +1,9 @@
 //! # slo-analysis — the paper's compiler analyses
 //!
 //! Implements the analysis half of *"Practical Structure Layout
-//! Optimization and Advice"* (CGO 2006) over the `slo-ir` substrate:
+//! Optimization and Advice"* (CGO 2006) over the `slo-ir` substrate.
+//! Every analysis reads the per-function facts of one [`FactTable`]
+//! ([`util`]), computed once per program.
 //!
 //! * **Legality** ([`legality`], [`ipa`]): the FE's single-pass tests
 //!   (CSTT, CSTF, ATKN, LIBC, IND, SMAL, MSET, NEST), attribute
@@ -33,12 +35,13 @@ pub mod pointsto;
 pub mod schemes;
 pub mod util;
 
-pub use affinity::{AffinityGraph, AffinityGroup, FieldCounts};
+pub use affinity::{AffinityGraph, AffinityGraphs, Annotations, FieldCountMap, FieldCounts};
 pub use correlate::{argmax, correlation, correlation_excluding};
-pub use dcache::{attribute_samples, attribute_strides, FieldDcache};
+pub use dcache::FieldDcache;
 pub use fingerprint::{fold_legality_config, fold_scheme, ipa_fingerprint};
-pub use freq::{estimate_static, from_profile, BranchProbs, FuncFreq};
+pub use freq::{from_profile, BranchProbs, FuncFreq};
 pub use ipa::{analyze_program, IpaResult, LegalityConfig, TypeVerdict};
-pub use ispbo::{interprocedural_freqs, IspboConfig, IspboResult};
+pub use ispbo::{IspboConfig, IspboResult};
 pub use legality::{AllocSite, LegalitySummary, LegalityTest, TypeObservations};
-pub use schemes::{affinity_graphs, block_frequencies, relative_hotness, WeightScheme};
+pub use schemes::{block_frequencies, relative_hotness, WeightScheme};
+pub use util::{FactTable, FuncFacts};

@@ -15,9 +15,10 @@
 //! DMISS/DLAT/DMISS.NO are not block-frequency schemes — they attribute
 //! PMU samples directly to fields — and live in [`crate::dcache`].
 
-use crate::affinity::{build_affinity_graphs, AffinityGraph};
-use crate::freq::{estimate_static, from_profile, BranchProbs, FuncFreq};
-use crate::ispbo::{interprocedural_freqs, IspboConfig};
+use crate::affinity::{AffinityGraphs, FieldCountMap};
+use crate::freq::{from_profile, BranchProbs, FuncFreq};
+use crate::ispbo::IspboConfig;
+use crate::util::FactTable;
 use slo_ir::{FuncId, Program, RecordId};
 use slo_vm::Feedback;
 use std::collections::HashMap;
@@ -56,54 +57,46 @@ impl WeightScheme<'_> {
     }
 }
 
-/// Compute per-function block frequencies under a scheme.
-pub fn block_frequencies(prog: &Program, scheme: &WeightScheme<'_>) -> HashMap<FuncId, FuncFreq> {
-    match scheme {
-        WeightScheme::Pbo(fb) | WeightScheme::Ppbo(fb) => {
-            let mut out = HashMap::new();
-            for fid in prog.func_ids() {
-                if !prog.func(fid).is_defined() {
-                    continue;
-                }
-                if let Some(ff) = from_profile(prog, fid, fb) {
-                    out.insert(fid, ff);
-                }
-            }
-            out
+impl FactTable<'_> {
+    /// Per-function block frequencies under a scheme.
+    pub fn block_frequencies(&self, scheme: &WeightScheme<'_>) -> HashMap<FuncId, FuncFreq> {
+        let ispbo = |cfg: &IspboConfig| self.interprocedural_freqs(cfg).freqs;
+        match scheme {
+            WeightScheme::Pbo(fb) | WeightScheme::Ppbo(fb) => self
+                .defined()
+                .filter_map(|(fid, _)| Some((fid, from_profile(self.prog, fid, fb)?)))
+                .collect(),
+            WeightScheme::Spbo => self
+                .defined()
+                .map(|(fid, _)| (fid, self.estimate_static(fid, &BranchProbs::default())))
+                .collect(),
+            WeightScheme::Ispbo => ispbo(&IspboConfig::default()),
+            WeightScheme::IspboNo => ispbo(&IspboConfig::without_exponent()),
+            WeightScheme::IspboW => ispbo(&IspboConfig::with_raised_probs()),
+            WeightScheme::IspboCustom(cfg) => ispbo(cfg),
         }
-        WeightScheme::Spbo => {
-            let mut out = HashMap::new();
-            for fid in prog.func_ids() {
-                if prog.func(fid).is_defined() {
-                    out.insert(fid, estimate_static(prog, fid, &BranchProbs::default()));
-                }
-            }
-            out
-        }
-        WeightScheme::Ispbo => interprocedural_freqs(prog, &IspboConfig::default()).freqs,
-        WeightScheme::IspboNo => {
-            interprocedural_freqs(prog, &IspboConfig::without_exponent()).freqs
-        }
-        WeightScheme::IspboW => {
-            interprocedural_freqs(prog, &IspboConfig::with_raised_probs()).freqs
-        }
-        WeightScheme::IspboCustom(cfg) => interprocedural_freqs(prog, cfg).freqs,
+    }
+
+    /// The profitability evidence under a scheme: affinity graphs for
+    /// all record types and per-field read/write counts, from one set of
+    /// block frequencies.
+    pub fn profitability(&self, scheme: &WeightScheme<'_>) -> (AffinityGraphs, FieldCountMap) {
+        self.affinity(&self.block_frequencies(scheme))
     }
 }
 
-/// Affinity graphs for all record types under a scheme.
-pub fn affinity_graphs(
-    prog: &Program,
-    scheme: &WeightScheme<'_>,
-) -> HashMap<RecordId, AffinityGraph> {
-    let freqs = block_frequencies(prog, scheme);
-    build_affinity_graphs(prog, &freqs)
+/// [`FactTable::block_frequencies`] of a fresh table, kept for the
+/// `perfbench` ledger (see [`crate::legality::analyze_all_units`]).
+pub fn block_frequencies(prog: &Program, scheme: &WeightScheme<'_>) -> HashMap<FuncId, FuncFreq> {
+    FactTable::new(prog).block_frequencies(scheme)
 }
 
 /// Relative field hotness (percent of the hottest field) for one record
 /// under a scheme — one Table 2 column.
 pub fn relative_hotness(prog: &Program, rid: RecordId, scheme: &WeightScheme<'_>) -> Vec<f64> {
-    affinity_graphs(prog, scheme)
+    FactTable::new(prog)
+        .profitability(scheme)
+        .0
         .remove(&rid)
         .map(|g| g.relative_hotness())
         .unwrap_or_default()
@@ -217,7 +210,7 @@ bb3:
     fn pbo_without_profile_data_gives_empty() {
         let p = parse(SRC).expect("parse");
         let fb = Feedback::new(1);
-        let freqs = block_frequencies(&p, &WeightScheme::Pbo(&fb));
+        let freqs = FactTable::new(&p).block_frequencies(&WeightScheme::Pbo(&fb));
         assert!(freqs.is_empty());
     }
 }

@@ -1,12 +1,71 @@
-//! Shared intra-procedural helpers: register def/use maps and a cheap
-//! (flow-insensitive) register type inference.
+//! Per-function facts, computed once per program: the [`FactTable`] of
+//! loop forests, predecessor lists, register def/use maps and register
+//! types that legality, the static frequency estimates, the affinity and
+//! count walk and d-cache attribution all read.
 //!
 //! The FE legality pass is, per the paper, a *single* cheap pass that
-//! trades accuracy for compile time. These helpers deliberately stay
-//! flow-insensitive: a register gets the type of its (usually unique)
-//! defining instruction, and ambiguity degrades conservatively.
+//! trades accuracy for compile time. The def/use map and the register
+//! typing deliberately stay flow-insensitive: a register gets the type
+//! of its (usually unique) defining instruction, and ambiguity degrades
+//! conservatively.
 
-use slo_ir::{FuncId, Instr, InstrRef, Operand, Program, Reg, TypeId};
+use slo_ir::loops::LoopForest;
+use slo_ir::{BlockId, FuncId, Instr, InstrRef, Operand, Program, Reg, TypeId};
+
+/// The facts of one defined function.
+#[derive(Debug, Clone)]
+pub struct FuncFacts {
+    /// The loop nesting forest.
+    pub loops: LoopForest,
+    /// Predecessors of each block, indexed by block.
+    pub preds: Vec<Vec<BlockId>>,
+    /// Register def/use information.
+    pub def_use: DefUse,
+    /// Static register types ([`reg_types`]).
+    pub reg_types: Vec<Option<TypeId>>,
+}
+
+/// The [`FuncFacts`] of every defined function of one program.
+#[derive(Debug, Clone)]
+pub struct FactTable<'p> {
+    /// The program the facts describe.
+    pub prog: &'p Program,
+    funcs: Vec<Option<FuncFacts>>,
+}
+
+impl<'p> FactTable<'p> {
+    /// Compute the facts of every defined function of `prog`.
+    pub fn new(prog: &'p Program) -> Self {
+        let funcs = prog
+            .func_ids()
+            .map(|fid| {
+                let f = prog.func(fid);
+                f.is_defined().then(|| FuncFacts {
+                    loops: LoopForest::compute(f),
+                    preds: f.predecessors(),
+                    def_use: DefUse::build(prog, fid),
+                    reg_types: reg_types(prog, fid),
+                })
+            })
+            .collect();
+        FactTable { prog, funcs }
+    }
+
+    /// The facts of the defined function `fid` (panics if it has no body).
+    pub fn func(&self, fid: FuncId) -> &FuncFacts {
+        self.funcs[fid.index()]
+            .as_ref()
+            .expect("facts exist for every defined function")
+    }
+
+    /// Every defined function with its facts, in function order.
+    pub fn defined(&self) -> impl Iterator<Item = (FuncId, &FuncFacts)> {
+        self.prog
+            .func_ids()
+            .zip(&self.funcs)
+            .filter_map(|(fid, f)| Some((fid, f.as_ref()?)))
+    }
+}
 
 /// How an instruction uses a register operand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,7 +107,8 @@ pub struct DefUse {
 }
 
 impl DefUse {
-    /// Build def/use information for one defined function.
+    /// Build def/use information for one defined function (the
+    /// [`FactTable`] holds it for every one).
     pub fn build(prog: &Program, fid: FuncId) -> Self {
         let f = prog.func(fid);
         let n = f.num_regs as usize;

@@ -19,7 +19,8 @@
 //! (`pbo` requires `--profile <file.prof>` or `--profile` to collect one
 //! on the fly).
 
-use slo::analysis::{analyze_program, LegalityConfig, WeightScheme};
+use slo::analysis::ipa::aggregate;
+use slo::analysis::{analyze_program, FactTable, LegalityConfig, WeightScheme};
 use slo::obs::Recorder;
 use slo::pipeline::{baseline_run, compile_with, evaluate_against, PipelineConfig};
 use slo::vm::{ExecOutcome, Feedback, VmOptions};
@@ -328,16 +329,15 @@ fn cmd_advise(args: &[String]) -> Result<String> {
     let feedback = collect_feedback(&prog, &opts)?;
     let scheme = scheme_for(&opts, feedback.as_ref())?;
 
-    let ipa = analyze_program(&prog, &LegalityConfig::default());
-    let graphs = slo::analysis::affinity_graphs(&prog, &scheme);
-    let freqs = slo::analysis::block_frequencies(&prog, &scheme);
-    let counts = slo::analysis::affinity::build_field_counts(&prog, &freqs);
-    let dcache = feedback
-        .as_ref()
-        .map(|fb| slo::analysis::attribute_samples(&prog, fb));
-    let strides = feedback
-        .as_ref()
-        .map(|fb| slo::analysis::attribute_strides(&prog, fb));
+    let facts = FactTable::new(&prog);
+    let ipa = aggregate(
+        &prog,
+        &facts.analyze_all_units(),
+        &LegalityConfig::default(),
+    );
+    let (graphs, counts) = facts.profitability(&scheme);
+    let dcache = feedback.as_ref().map(|fb| facts.attribute_samples(fb));
+    let strides = feedback.as_ref().map(|fb| facts.attribute_strides(fb));
 
     let input = slo::advisor::AdvisorInput {
         prog: &prog,
@@ -498,7 +498,7 @@ fn cmd_vcg(args: &[String]) -> Result<String> {
         .ok_or_else(|| SloError::Usage(format!("no record type `{record}`")))?;
     let feedback = collect_feedback(&prog, &opts)?;
     let scheme = scheme_for(&opts, feedback.as_ref())?;
-    let graphs = slo::analysis::affinity_graphs(&prog, &scheme);
+    let (graphs, _) = FactTable::new(&prog).profitability(&scheme);
     Ok(slo::advisor::render_vcg(&prog, rid, &graphs[&rid]))
 }
 

@@ -21,10 +21,8 @@
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
-use slo_analysis::affinity::build_field_counts;
-use slo_analysis::{
-    affinity_graphs, analyze_program, block_frequencies, IpaResult, LegalityConfig, WeightScheme,
-};
+use slo_analysis::ipa::aggregate;
+use slo_analysis::{FactTable, IpaResult, LegalityConfig, WeightScheme};
 use slo_ir::printer::print_program;
 use slo_ir::verify::verify;
 use slo_ir::{Instr, Program, RecordId};
@@ -480,11 +478,10 @@ pub fn check_program(prog: &Program, cfg: &OracleConfig) -> Result<CaseOutcome, 
     let base = run_both(prog, "original", &oracle_opts())?;
 
     // 4. analysis + plans
-    let ipa = analyze_program(prog, &LegalityConfig::default());
-    let scheme = WeightScheme::Ispbo;
-    let freqs = block_frequencies(prog, &scheme);
-    let graphs = affinity_graphs(prog, &scheme);
-    let counts = build_field_counts(prog, &freqs);
+    let facts = FactTable::new(prog);
+    let ipa = aggregate(prog, &facts.analyze_all_units(), &LegalityConfig::default());
+    let freqs = facts.block_frequencies(&WeightScheme::Ispbo);
+    let (graphs, counts) = facts.affinity(&freqs);
 
     let mut outcome = CaseOutcome {
         legal_types: ipa.num_legal(),

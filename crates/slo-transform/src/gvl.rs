@@ -107,7 +107,7 @@ pub fn gvl(prog: &Program, freqs: &HashMap<FuncId, FuncFreq>) -> Result<Program,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slo_analysis::schemes::{block_frequencies, WeightScheme};
+    use slo_analysis::{FactTable, WeightScheme};
     use slo_ir::verify::assert_valid;
     use slo_ir::{Operand, ProgramBuilder, ScalarKind};
     use slo_vm::{run, VmOptions};
@@ -141,7 +141,7 @@ mod tests {
     #[test]
     fn gvl_moves_hot_globals_to_front() {
         let p = scattered_globals();
-        let freqs = block_frequencies(&p, &WeightScheme::Spbo);
+        let freqs = FactTable::new(&p).block_frequencies(&WeightScheme::Spbo);
         let order = gvl_order(&p, &freqs);
         // the first six in the order are the six hot ones
         let hot_names: Vec<&str> = order[..6]
@@ -156,7 +156,7 @@ mod tests {
     #[test]
     fn gvl_preserves_semantics_and_saves_cycles() {
         let p = scattered_globals();
-        let freqs = block_frequencies(&p, &WeightScheme::Spbo);
+        let freqs = FactTable::new(&p).block_frequencies(&WeightScheme::Spbo);
         let q = gvl(&p, &freqs).expect("gvl");
         assert_valid(&q);
         let before = run(&p, &VmOptions::default()).expect("before");
@@ -197,7 +197,7 @@ mod tests {
             fb.ret(Some(s.into()));
         });
         let p = pb.finish();
-        let freqs = block_frequencies(&p, &WeightScheme::Spbo);
+        let freqs = FactTable::new(&p).block_frequencies(&WeightScheme::Spbo);
         let q = gvl(&p, &freqs).expect("gvl");
         let before = run(&p, &VmOptions::default()).expect("before");
         let after = run(&q, &VmOptions::default()).expect("after");

@@ -429,15 +429,13 @@ fn points_to(prog: &Program, ty: slo_ir::TypeId, rid: RecordId) -> bool {
 mod tests {
     use super::*;
     use slo_analysis::ipa::{analyze_program, LegalityConfig};
-    use slo_analysis::schemes::{affinity_graphs, block_frequencies, WeightScheme};
+    use slo_analysis::{FactTable, WeightScheme};
     use slo_ir::parser::parse;
 
     fn plan_for(src: &str, cfg: &HeuristicsConfig) -> (slo_ir::Program, TransformPlan) {
         let p = parse(src).expect("parse");
         let ipa = analyze_program(&p, &LegalityConfig::default());
-        let freqs = block_frequencies(&p, &WeightScheme::Ispbo);
-        let graphs = affinity_graphs(&p, &WeightScheme::Ispbo);
-        let counts = slo_analysis::affinity::build_field_counts(&p, &freqs);
+        let (graphs, counts) = FactTable::new(&p).profitability(&WeightScheme::Ispbo);
         let plan = decide(&p, &ipa, &graphs, &counts, cfg);
         (p, plan)
     }

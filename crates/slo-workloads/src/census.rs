@@ -283,10 +283,8 @@ mod tests {
     fn census_types_not_transformed() {
         let p = generate(&spec(), 1);
         let ipa = analyze_program(&p, &LegalityConfig::default());
-        let graphs = slo_analysis::schemes::affinity_graphs(&p, &slo_analysis::WeightScheme::Ispbo);
-        let freqs =
-            slo_analysis::schemes::block_frequencies(&p, &slo_analysis::WeightScheme::Ispbo);
-        let counts = slo_analysis::affinity::build_field_counts(&p, &freqs);
+        let (graphs, counts) =
+            slo_analysis::FactTable::new(&p).profitability(&slo_analysis::WeightScheme::Ispbo);
         let plan = slo_transform::decide(
             &p,
             &ipa,

@@ -101,17 +101,14 @@ pub fn build(n: i64, ops: i64) -> Program {
 mod tests {
     use super::*;
     use slo::advisor::{classify, Advice, ScenarioConfig};
-    use slo_analysis::schemes::{affinity_graphs, block_frequencies, WeightScheme};
+    use slo_analysis::{FactTable, WeightScheme};
 
     #[test]
     fn builds_runs_and_flags_false_sharing() {
         let p = build(512, 4_000);
         slo_ir::verify::assert_valid(&p);
         let out = slo_vm::run(&p, &slo_vm::VmOptions::profiling()).expect("run");
-        let scheme = WeightScheme::Pbo(&out.feedback);
-        let graphs = affinity_graphs(&p, &scheme);
-        let freqs = block_frequencies(&p, &scheme);
-        let counts = slo_analysis::affinity::build_field_counts(&p, &freqs);
+        let (graphs, counts) = FactTable::new(&p).profitability(&WeightScheme::Pbo(&out.feedback));
         let conn = p.types.record_by_name("conn").expect("conn");
         let advice = classify(
             &p,

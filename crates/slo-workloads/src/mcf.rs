@@ -690,7 +690,7 @@ mod tests {
         assert_ne!(p.func(rare).unit, 0);
         assert_ne!(p.func(rare).unit, p.func(main).unit);
         // per-unit FE summaries really are partial
-        let sums = slo_analysis::legality::analyze_all_units(&p);
+        let sums = slo_analysis::FactTable::new(&p).analyze_all_units();
         let node = p.types.record_by_name("node").expect("node");
         let units_touching_node = sums.iter().filter(|s| s.types.contains_key(&node)).count();
         assert!(units_touching_node >= 2, "node is used in several units");

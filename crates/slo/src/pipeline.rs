@@ -18,14 +18,12 @@
 //! rewrite per job; [`compile`] is the one-shot composition.
 
 use crate::error::SloError;
-use slo_analysis::affinity::{
-    build_affinity_graphs, build_field_counts, AffinityGraph, FieldCounts,
-};
+use slo_analysis::affinity::{AffinityGraph, FieldCounts};
 use slo_analysis::dcache::FieldDcache;
 use slo_analysis::fingerprint::{fold_legality_config, fold_scheme};
 use slo_analysis::ipa::{aggregate, IpaResult, LegalityConfig};
-use slo_analysis::legality::analyze_all_units;
-use slo_analysis::schemes::{block_frequencies, WeightScheme};
+use slo_analysis::schemes::WeightScheme;
+use slo_analysis::FactTable;
 use slo_ir::{Fnv64, Program, RecordId};
 use slo_transform::{apply_plan, decide, HeuristicsConfig, RewriteError, TransformPlan};
 use slo_vm::{ExecOutcome, Feedback, VmOptions};
@@ -223,19 +221,22 @@ pub fn analyze(prog: &Program, scheme: &WeightScheme<'_>, cfg: &PipelineConfig) 
 }
 
 /// [`analyze`] with a trace recorder: one span per phase — `legality`
-/// (FE), then `escape` / `hotness` / `plan` (IPA). The disabled
-/// recorder makes this identical to [`analyze`].
+/// (FE: building the per-function [`FactTable`] and the legality
+/// tests), then `escape` / `hotness` / `plan` (IPA), which read the same
+/// table. The disabled recorder makes this identical to [`analyze`].
 pub fn analyze_with(
     prog: &Program,
     scheme: &WeightScheme<'_>,
     cfg: &PipelineConfig,
     rec: &slo_obs::Recorder,
 ) -> Analysis {
-    // --- FE: per-unit legality tests + attribute collection -----------
+    // --- FE: per-function facts, per-unit legality tests + attributes --
     let t0 = Instant::now();
-    let summaries = {
+    let (facts, summaries) = {
         let _s = rec.span("pipeline", "legality");
-        analyze_all_units(prog)
+        let facts = FactTable::new(prog);
+        let summaries = facts.analyze_all_units();
+        (facts, summaries)
     };
     let fe = t0.elapsed();
 
@@ -252,18 +253,12 @@ pub fn analyze_with(
     let (graphs, counts, dcache) = {
         let mut s = rec.span("pipeline", "hotness");
         s.arg("scheme", scheme.name());
-        let freqs = block_frequencies(prog, scheme);
-        let graphs = build_affinity_graphs(prog, &freqs);
-        let counts = build_field_counts(prog, &freqs);
-        let dcache = if cfg.attribute_dcache {
-            match scheme {
-                WeightScheme::Pbo(fb) | WeightScheme::Ppbo(fb) => {
-                    Some(slo_analysis::dcache::attribute_samples(prog, fb))
-                }
-                _ => None,
+        let (graphs, counts) = facts.profitability(scheme);
+        let dcache = match scheme {
+            WeightScheme::Pbo(fb) | WeightScheme::Ppbo(fb) if cfg.attribute_dcache => {
+                Some(facts.attribute_samples(fb))
             }
-        } else {
-            None
+            _ => None,
         };
         (graphs, counts, dcache)
     };

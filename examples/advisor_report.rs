@@ -5,10 +5,8 @@
 //! Run with: `cargo run --release --example advisor_report`
 
 use slo::advisor::{classify, render_report, render_vcg, AdvisorInput, ScenarioConfig};
-use slo::analysis::{
-    affinity_graphs, analyze_program, attribute_samples, block_frequencies, LegalityConfig,
-    WeightScheme,
-};
+use slo::analysis::ipa::aggregate;
+use slo::analysis::{FactTable, LegalityConfig, WeightScheme};
 use slo::vm::VmOptions;
 use slo_workloads::moldyn::{build_config, MoldynConfig};
 
@@ -23,13 +21,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("running the instrumented binary with sampling...");
     let out = slo::profile_run(&prog, &VmOptions::default())?;
 
-    let scheme = WeightScheme::Pbo(&out.feedback);
-    let ipa = analyze_program(&prog, &LegalityConfig::default());
-    let graphs = affinity_graphs(&prog, &scheme);
-    let freqs = block_frequencies(&prog, &scheme);
-    let counts = slo::analysis::affinity::build_field_counts(&prog, &freqs);
-    let dcache = attribute_samples(&prog, &out.feedback);
-    let strides = slo::analysis::attribute_strides(&prog, &out.feedback);
+    let facts = FactTable::new(&prog);
+    let ipa = aggregate(
+        &prog,
+        &facts.analyze_all_units(),
+        &LegalityConfig::default(),
+    );
+    let (graphs, counts) = facts.profitability(&WeightScheme::Pbo(&out.feedback));
+    let dcache = facts.attribute_samples(&out.feedback);
+    let strides = facts.attribute_strides(&out.feedback);
 
     let input = AdvisorInput {
         prog: &prog,

@@ -2,7 +2,9 @@
 //! instances of the workloads (the bench binaries run the full-size
 //! versions).
 
-use slo::analysis::{analyze_program, correlation, relative_hotness, LegalityConfig, WeightScheme};
+use slo::analysis::{
+    analyze_program, correlation, relative_hotness, FactTable, LegalityConfig, WeightScheme,
+};
 use slo::pipeline::{collect_profile, compile, evaluate, PipelineConfig};
 use slo::vm::VmOptions;
 use slo_workloads::{census, mcf, CENSUS_SPECS};
@@ -204,13 +206,11 @@ fn advisor_report_end_to_end() {
         skew: 0,
     });
     let out = slo::vm::run(&p, &VmOptions::profiling()).expect("run");
-    let scheme = WeightScheme::Pbo(&out.feedback);
     let ipa = analyze_program(&p, &LegalityConfig::default());
-    let graphs = slo::analysis::affinity_graphs(&p, &scheme);
-    let freqs = slo::analysis::block_frequencies(&p, &scheme);
-    let counts = slo::analysis::affinity::build_field_counts(&p, &freqs);
-    let dcache = slo::analysis::attribute_samples(&p, &out.feedback);
-    let strides = slo::analysis::attribute_strides(&p, &out.feedback);
+    let facts = FactTable::new(&p);
+    let (graphs, counts) = facts.profitability(&WeightScheme::Pbo(&out.feedback));
+    let dcache = facts.attribute_samples(&out.feedback);
+    let strides = facts.attribute_strides(&out.feedback);
     let input = slo::advisor::AdvisorInput {
         prog: &p,
         ipa: &ipa,
@@ -284,7 +284,7 @@ fn strides_track_element_size_across_split() {
 
     let stride_of = |prog: &slo::ir::Program| -> i64 {
         let fb = collect_profile(prog).expect("profile");
-        let strides = slo::analysis::attribute_strides(prog, &fb);
+        let strides = FactTable::new(prog).attribute_strides(&fb);
         // refresh1 walks a rotating window sequentially reading `pred`
         // (looked up by name: splitting reorders the field indices)
         let rid = prog.types.record_by_name("node").expect("node");

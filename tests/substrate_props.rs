@@ -3,7 +3,8 @@
 
 use proptest::prelude::*;
 use slo_analysis::affinity::AffinityGraph;
-use slo_analysis::freq::{estimate_static, BranchProbs};
+use slo_analysis::freq::BranchProbs;
+use slo_analysis::FactTable;
 use slo_ir::dom::DomTree;
 use slo_ir::loops::LoopForest;
 use slo_ir::{CmpOp, Operand, ProgramBuilder, RecordId, ScalarKind};
@@ -205,7 +206,7 @@ proptest! {
         let p = build_shaped(&shapes);
         let main = p.main().expect("main");
         let f = p.func(main);
-        let ff = estimate_static(&p, main, &BranchProbs::default());
+        let ff = FactTable::new(&p).estimate_static(main, &BranchProbs::default());
         for b in f.block_ids() {
             let succs = f.block(b).successors();
             if succs.is_empty() {
