@@ -21,7 +21,7 @@
 //! ablation legality   # only the legality-mode comparison
 //! ```
 
-use bench::report::{json_flag, record_table, TableStats};
+use bench::report::{record_table, TableStats};
 use slo::analysis::{
     analyze_program, correlation, relative_hotness, IspboConfig, LegalityConfig, WeightScheme,
 };
@@ -50,7 +50,7 @@ fn sim<'a>(base: &ExecOutcome, evals: impl Iterator<Item = (usize, &'a Evaluatio
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let json = json_flag(&mut args);
+    let json = bench::bool_flag(&mut args, "--json");
     let t0 = std::time::Instant::now();
     let which = args.first().cloned().unwrap_or_else(|| "all".to_string());
 

@@ -30,41 +30,18 @@
 //!       [--kill-restart [--rot-seeds N]]
 //! ```
 
-use bench::report::{json_flag, record_batch, record_store, BatchStats, StoreStats};
+use bench::report::{record_batch, record_store, BatchStats, StoreStats};
+use bench::{bool_flag, digest, flag_value, mixed_jobs};
 use slo_obs::json::Json;
 use slo_service::{
-    AnalysisStore, Budget, ChaosConfig, Degradation, Fault, FaultPlan, Job, JobOutcome, JobStatus,
-    SchemeSpec, Service, ServiceConfig, Site,
+    AnalysisStore, Budget, ChaosConfig, Degradation, Fault, FaultPlan, Job, JobStatus, Service,
+    ServiceConfig, Site,
 };
 use slo_workloads::art::{self, ArtConfig};
 use slo_workloads::kernel;
 use slo_workloads::mcf::{self, McfConfig};
 use slo_workloads::moldyn::{self, MoldynConfig};
 use std::time::Instant;
-
-/// The comparable essence of an outcome: everything except timings.
-fn digest(o: &JobOutcome) -> String {
-    match &o.status {
-        JobStatus::Optimized(opt) => format!(
-            "{} optimized {} {} {} {} {} {:016x}\n{}",
-            o.id,
-            opt.num_transformed,
-            opt.eval.baseline_cycles,
-            opt.eval.optimized_cycles,
-            opt.eval.baseline_instructions,
-            opt.eval.optimized_instructions,
-            opt.ipa_fingerprint,
-            opt.transformed
-        ),
-        JobStatus::Advisory { reason, report } => format!(
-            "{} advisory {} {}",
-            o.id,
-            reason.kind(),
-            report.as_deref().unwrap_or("-")
-        ),
-        JobStatus::Failed(msg) => format!("{} failed {msg}", o.id),
-    }
-}
 
 // A small pool of distinct programs: three workload models at
 // load-test sizes plus three kernel variants. Repeats of the same
@@ -92,32 +69,6 @@ fn program_pool() -> Vec<(&'static str, slo_ir::Program)> {
         ("kernel128", kernel::build(128, 400)),
         ("kernel256", kernel::build(256, 400)),
     ]
-}
-
-const SCHEMES: [SchemeSpec; 4] = [
-    SchemeSpec::Ispbo,
-    SchemeSpec::Spbo,
-    SchemeSpec::IspboNo,
-    SchemeSpec::IspboW,
-];
-
-fn build_jobs(n: usize) -> Vec<Job> {
-    let programs = program_pool();
-    let schemes = SCHEMES;
-    (0..n)
-        .map(|i| {
-            let (name, prog) = &programs[i % programs.len()];
-            let scheme = schemes[(i / programs.len()) % schemes.len()].clone();
-            Job::from_program(format!("{name}#{i}"), prog.clone()).scheme(scheme)
-        })
-        .collect()
-}
-
-fn flag_value(args: &[String], name: &str) -> Option<usize> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
 }
 
 // --- the kill-and-restart store campaign --------------------------------
@@ -317,7 +268,7 @@ fn kill_restart_campaign(num_jobs: usize, rot_seeds: usize, json: bool) -> u32 {
     // Bit-rot sweep: seeded in-process campaigns that rot records as
     // they are written, then reread them cold. Rot may cost recomputes
     // (counted), never bits, and a corrupt record is never served.
-    let sweep_jobs = build_jobs(12);
+    let sweep_jobs = mixed_jobs(&program_pool(), 12);
     let reference: Vec<String> = Service::new(
         ServiceConfig::builder()
             .workers(1)
@@ -326,7 +277,7 @@ fn kill_restart_campaign(num_jobs: usize, rot_seeds: usize, json: bool) -> u32 {
     )
     .run_batch(&sweep_jobs)
     .iter()
-    .map(digest)
+    .map(|o| digest(o, true))
     .collect();
     let mut bitrot_corrupt_drops = 0u64;
     for seed in 0..rot_seeds as u64 {
@@ -339,13 +290,21 @@ fn kill_restart_campaign(num_jobs: usize, rot_seeds: usize, json: bool) -> u32 {
         let writer = Service::new(cfg).with_store(
             AnalysisStore::open(&dir, slo::obs::Recorder::disabled(), plan).expect("open store"),
         );
-        let rotted: Vec<String> = writer.run_batch(&sweep_jobs).iter().map(digest).collect();
+        let rotted: Vec<String> = writer
+            .run_batch(&sweep_jobs)
+            .iter()
+            .map(|o| digest(o, true))
+            .collect();
         drop(writer);
         let reader = Service::new(cfg).with_store(
             AnalysisStore::open(&dir, slo::obs::Recorder::disabled(), FaultPlan::disabled())
                 .expect("reopen store"),
         );
-        let reread: Vec<String> = reader.run_batch(&sweep_jobs).iter().map(digest).collect();
+        let reread: Vec<String> = reader
+            .run_batch(&sweep_jobs)
+            .iter()
+            .map(|o| digest(o, true))
+            .collect();
         let m = reader.metrics();
         bitrot_corrupt_drops += m.store_corrupt_drops;
         for run in [&rotted, &reread] {
@@ -390,7 +349,7 @@ fn kill_restart_campaign(num_jobs: usize, rot_seeds: usize, json: bool) -> u32 {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let json = json_flag(&mut args);
+    let json = bool_flag(&mut args, "--json");
     let num_jobs = flag_value(&args, "--jobs").unwrap_or(64);
     let workers = flag_value(&args, "--workers").unwrap_or(0);
     if args.iter().any(|a| a == "--kill-restart") {
@@ -403,7 +362,7 @@ fn main() {
         println!("all store checks passed");
         return;
     }
-    let jobs = build_jobs(num_jobs);
+    let jobs = mixed_jobs(&program_pool(), num_jobs);
     let mut failures = 0u32;
 
     // 1. sequential reference: one worker, cache disabled.
@@ -461,7 +420,7 @@ fn main() {
     let mismatches = seq
         .iter()
         .zip(&par)
-        .filter(|(a, b)| digest(a) != digest(b))
+        .filter(|(a, b)| digest(a, true) != digest(b, true))
         .count();
     if mismatches > 0 {
         println!("FAIL: {mismatches} parallel outcome(s) differ from the sequential run");
@@ -495,7 +454,7 @@ fn main() {
     let rerun_mismatches = seq
         .iter()
         .zip(&rerun)
-        .filter(|(a, b)| digest(a) != digest(b))
+        .filter(|(a, b)| digest(a, true) != digest(b, true))
         .count();
     if rerun_mismatches > 0 {
         println!("FAIL: {rerun_mismatches} cached outcome(s) differ from the uncached run");
@@ -506,7 +465,7 @@ fn main() {
 
     // 4. fault injection: a panicking job and an over-budget job must
     //    degrade to advisory outcomes without taking the batch down.
-    let mut faulty = build_jobs(6);
+    let mut faulty = mixed_jobs(&program_pool(), 6);
     faulty.push(Job::from_program("inject-panic", kernel::build(64, 400)).fault(Fault::PanicInBe));
     faulty
         .push(Job::from_program("inject-budget", kernel::build(64, 400)).budget(Budget::steps(10)));

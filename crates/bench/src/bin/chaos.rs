@@ -29,36 +29,16 @@
 //! server per seed and hammering it with retrying clients; tallies
 //! land under `chaos.net`.
 
-use bench::report::{json_flag, record_chaos, record_chaos_net, ChaosStats, NetChaosStats};
+use bench::report::{record_chaos, record_chaos_net, ChaosStats, NetChaosStats};
+use bench::{bool_flag, digest, flag_value, mixed_jobs};
 use slo_service::{
-    Clock, FaultPlan, Job, JobOutcome, JobStatus, NetConfig, NetServer, Response, RetryPolicy,
-    SchemeSpec, Service, ServiceConfig,
+    Clock, FaultPlan, Job, JobStatus, NetConfig, NetServer, Response, RetryPolicy, Service,
+    ServiceConfig,
 };
 use slo_workloads::art::{self, ArtConfig};
 use slo_workloads::kernel;
 use slo_workloads::mcf::{self, McfConfig};
 use slo_workloads::moldyn::{self, MoldynConfig};
-
-/// The comparable essence of an outcome: everything except timings and
-/// supervision bookkeeping (attempts may legitimately differ under
-/// chaos — the bits must not).
-fn digest(o: &JobOutcome) -> String {
-    match &o.status {
-        JobStatus::Optimized(opt) => format!(
-            "{} optimized {} {} {} {} {} {:016x}\n{}",
-            o.id,
-            opt.num_transformed,
-            opt.eval.baseline_cycles,
-            opt.eval.optimized_cycles,
-            opt.eval.baseline_instructions,
-            opt.eval.optimized_instructions,
-            opt.ipa_fingerprint,
-            opt.transformed
-        ),
-        JobStatus::Advisory { reason, .. } => format!("{} advisory {}", o.id, reason.kind()),
-        JobStatus::Failed(msg) => format!("{} failed {msg}", o.id),
-    }
-}
 
 fn build_jobs(n: usize) -> Vec<Job> {
     let programs = [
@@ -81,26 +61,7 @@ fn build_jobs(n: usize) -> Vec<Job> {
         ),
         ("kernel64", kernel::build(64, 200)),
     ];
-    let schemes = [
-        SchemeSpec::Ispbo,
-        SchemeSpec::Spbo,
-        SchemeSpec::IspboNo,
-        SchemeSpec::IspboW,
-    ];
-    (0..n)
-        .map(|i| {
-            let (name, prog) = &programs[i % programs.len()];
-            let scheme = schemes[(i / programs.len()) % schemes.len()].clone();
-            Job::from_program(format!("{name}#{i}"), prog.clone()).scheme(scheme)
-        })
-        .collect()
-}
-
-fn flag_value(args: &[String], name: &str) -> Option<usize> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
+    mixed_jobs(&programs, n)
 }
 
 /// The wire-visible essence of a reply: what must match the fault-free
@@ -334,12 +295,8 @@ fn net_campaign(seeds: usize, seed_start: u64, json: bool) -> usize {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let json = json_flag(&mut args);
-    let net = {
-        let before = args.len();
-        args.retain(|a| a != "--net");
-        args.len() != before
-    };
+    let json = bool_flag(&mut args, "--json");
+    let net = bool_flag(&mut args, "--net");
     let seeds = flag_value(&args, "--seeds").unwrap_or(8);
     let seed_start = flag_value(&args, "--seed-start").unwrap_or(0) as u64;
     let num_jobs = flag_value(&args, "--jobs").unwrap_or(24);
@@ -353,7 +310,11 @@ fn main() {
             .cache_capacity(64)
             .build(),
     );
-    let reference: Vec<String> = reference_svc.run_batch(&jobs).iter().map(digest).collect();
+    let reference: Vec<String> = reference_svc
+        .run_batch(&jobs)
+        .iter()
+        .map(|o| digest(o, false))
+        .collect();
     let ref_optimized = reference
         .iter()
         .filter(|d| d.contains(" optimized "))
@@ -381,7 +342,7 @@ fn main() {
         for (o, want) in outcomes.iter().zip(&reference) {
             match &o.status {
                 JobStatus::Optimized(_) => {
-                    if &digest(o) != want {
+                    if &digest(o, false) != want {
                         println!(
                             "FAIL: seed {seed}: {} stayed optimized but its bits changed",
                             o.id

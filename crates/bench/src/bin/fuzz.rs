@@ -19,7 +19,7 @@
 //! teeth. `--json` records wall time under `tables.fuzz` in
 //! `BENCH_vm.json` (path overridable via `BENCH_JSON_PATH`).
 
-use bench::report::{json_flag, record_table, TableStats};
+use bench::report::{record_table, TableStats};
 use slo_fuzz::{FuzzConfig, Mutation};
 
 fn parse_args(args: &[String]) -> Result<FuzzConfig, String> {
@@ -63,7 +63,7 @@ fn parse_args(args: &[String]) -> Result<FuzzConfig, String> {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let json = json_flag(&mut args);
+    let json = bench::bool_flag(&mut args, "--json");
     let cfg = match parse_args(&args) {
         Ok(cfg) => cfg,
         Err(e) => {

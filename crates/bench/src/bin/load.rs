@@ -19,23 +19,17 @@
 //! backpressure path is load-bearing, not decorative. In either mode
 //! a lost or unparseable reply is fatal: every request gets exactly
 //! one well-formed reply.
+//!
+//! Before shutdown the load bench scrapes the server's own `metrics prom`
+//! reply over TCP, as an operator would. It exits nonzero unless that
+//! exposition passes `check_prometheus`, its `slo_net_shed_total`
+//! equals the sheds the clients saw and its `slo_jobs_total` equals
+//! the requests they completed.
 
-use bench::report::{json_flag, record_load, LoadStats};
+use bench::report::{record_load, LoadStats};
+use bench::{bool_flag, flag_value};
 use slo_service::{NetConfig, NetServer, Response, Service, ServiceConfig};
 use std::time::{Duration, Instant};
-
-fn flag_value(args: &[String], name: &str) -> Option<usize> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
-fn bool_flag(args: &mut Vec<String>, name: &str) -> bool {
-    let before = args.len();
-    args.retain(|a| a != name);
-    args.len() != before
-}
 
 /// One client: a persistent connection issuing `requests` job lines
 /// sequentially. Shed replies are counted and retried after the
@@ -83,6 +77,23 @@ fn run_client(addr: &std::net::SocketAddr, line: &str, requests: usize) -> (Vec<
     (latencies, sheds)
 }
 
+/// The server's `metrics prom` reply, read to the end of the connection.
+fn scrape(addr: &std::net::SocketAddr) -> std::io::Result<String> {
+    use std::io::{Read as _, Write as _};
+    let mut conn = std::net::TcpStream::connect(addr)?;
+    conn.write_all(b"metrics prom\n")?;
+    conn.shutdown(std::net::Shutdown::Write)?;
+    let mut text = String::new();
+    conn.read_to_string(&mut text)?;
+    Ok(text)
+}
+
+/// The value of the unlabelled counter `name` in an exposition.
+fn sample(text: &str, name: &str) -> Option<u64> {
+    text.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+}
+
 fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
@@ -93,7 +104,7 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let json = json_flag(&mut args);
+    let json = bool_flag(&mut args, "--json");
     let force_overload = bool_flag(&mut args, "--force-overload");
     let clients = flag_value(&args, "--clients").unwrap_or(8);
     let requests = flag_value(&args, "--requests").unwrap_or(32);
@@ -150,6 +161,7 @@ fn main() {
     let t0 = Instant::now();
     let mut latencies: Vec<f64> = Vec::new();
     let mut sheds = 0usize;
+    let mut exposition = String::new();
     std::thread::scope(|s| {
         let runner = s.spawn(|| server.run(&service, None));
         let workers: Vec<_> = (0..clients)
@@ -160,6 +172,7 @@ fn main() {
             latencies.extend(lat);
             sheds += shed;
         }
+        exposition = scrape(&addr).expect("scrape metrics prom");
         server.request_shutdown();
         runner.join().expect("server thread").expect("server run");
     });
@@ -195,6 +208,20 @@ fn main() {
     );
     if json {
         record_load(stats);
+    }
+    // What an operator scrapes must agree with what the clients saw.
+    if let Err(e) = slo_obs::conform::check_prometheus(&exposition) {
+        println!("FAIL: the server's exposition does not conform: {e}");
+        std::process::exit(1);
+    }
+    for (name, seen) in [("slo_net_shed_total", sheds), ("slo_jobs_total", completed)] {
+        let served = sample(&exposition, name);
+        let shown = served.map_or("missing".to_string(), |v| v.to_string());
+        println!("load: server {name} {shown}, clients counted {seen}");
+        if served != Some(seen as u64) {
+            println!("FAIL: the server's {name} disagrees with the clients' count");
+            std::process::exit(1);
+        }
     }
     if force_overload && sheds == 0 {
         println!("FAIL: forced overload produced zero sheds — backpressure is not engaging");

@@ -8,14 +8,14 @@
 //! driver's wall time in `BENCH_vm.json` (this table executes nothing on
 //! the VM, so its simulated-instruction count is zero).
 
-use bench::report::{json_flag, record_table, TableStats};
+use bench::report::{record_table, TableStats};
 use slo::analysis::{analyze_program, LegalityConfig};
 use slo_service::pool::par_map_bounded;
 use slo_workloads::{all, InputSet};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let json = json_flag(&mut args);
+    let json = bench::bool_flag(&mut args, "--json");
     let t0 = std::time::Instant::now();
 
     println!("Table 1 — types and transformable types, strict vs relaxed analysis");

@@ -14,7 +14,7 @@
 //! plus the correlation rows `r` (all fields) and `r'` (ignoring the
 //! dominant field, `potential`).
 
-use bench::report::{json_flag, record_table, TableStats};
+use bench::report::{record_table, TableStats};
 use slo::analysis::{
     argmax, correlation, correlation_excluding, relative_hotness, FactTable, WeightScheme,
 };
@@ -26,7 +26,7 @@ use slo_workloads::InputSet;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let json = json_flag(&mut args);
+    let json = bench::bool_flag(&mut args, "--json");
     let t0 = std::time::Instant::now();
 
     let train = build(InputSet::Training);

@@ -13,14 +13,14 @@
 //! simulated-instruction throughput of the runs that executed in
 //! `BENCH_vm.json`.
 
-use bench::report::{json_flag, record_table, TableStats};
+use bench::report::{record_table, TableStats};
 use bench::{measure, opt_pct, pct};
 use slo_service::pool::par_map_bounded;
 use slo_workloads::{all, InputSet, Workload};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let json = json_flag(&mut args);
+    let json = bench::bool_flag(&mut args, "--json");
     let t0 = std::time::Instant::now();
 
     // one (workload, pbo settings) config per benchmark, one output row

@@ -11,13 +11,13 @@
 //! ```
 
 use bench::measure;
-use bench::report::{json_flag, record_table, TableStats};
+use bench::report::{record_table, TableStats};
 use slo_service::pool::par_map_bounded;
 use slo_workloads::{PaperRow, Workload};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().collect();
-    let json = json_flag(&mut args);
+    let json = bench::bool_flag(&mut args, "--json");
     let get = |i: usize| -> i64 { args[i].parse().expect("numeric arg") };
     let paper = PaperRow {
         types: 0,

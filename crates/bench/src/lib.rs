@@ -5,6 +5,7 @@ pub mod report;
 
 use slo::analysis::WeightScheme;
 use slo::pipeline::{baseline_run, compile, evaluate_against, profile_run, PipelineConfig};
+use slo_service::{Job, JobOutcome, JobStatus, SchemeSpec};
 use slo_vm::VmOptions;
 use slo_workloads::Workload;
 
@@ -108,9 +109,97 @@ pub fn measure(w: &Workload, pbos: &[bool]) -> Vec<PerfRow> {
     rows
 }
 
+/// `n` jobs cycling through `programs`, each full cycle under the next
+/// of the four static and inter-procedural schemes.
+pub fn mixed_jobs(programs: &[(&str, slo_ir::Program)], n: usize) -> Vec<Job> {
+    use SchemeSpec::{Ispbo, IspboNo, IspboW, Spbo};
+    let schemes = [Ispbo, Spbo, IspboNo, IspboW];
+    (0..n)
+        .map(|i| {
+            let (name, prog) = &programs[i % programs.len()];
+            let scheme = schemes[(i / programs.len()) % schemes.len()].clone();
+            Job::from_program(format!("{name}#{i}"), prog.clone()).scheme(scheme)
+        })
+        .collect()
+}
+
+/// The comparable essence of an outcome: everything but timings and
+/// supervision bookkeeping (attempts may differ under chaos, the bits
+/// must not). An advisory outcome's report is included `with_report`.
+pub fn digest(o: &JobOutcome, with_report: bool) -> String {
+    match &o.status {
+        JobStatus::Optimized(opt) => format!(
+            "{} optimized {} {} {} {} {} {:016x}\n{}",
+            o.id,
+            opt.num_transformed,
+            opt.eval.baseline_cycles,
+            opt.eval.optimized_cycles,
+            opt.eval.baseline_instructions,
+            opt.eval.optimized_instructions,
+            opt.ipa_fingerprint,
+            opt.transformed
+        ),
+        JobStatus::Advisory { reason, report } if with_report => format!(
+            "{} advisory {} {}",
+            o.id,
+            reason.kind(),
+            report.as_deref().unwrap_or("-")
+        ),
+        JobStatus::Advisory { reason, .. } => format!("{} advisory {}", o.id, reason.kind()),
+        JobStatus::Failed(msg) => format!("{} failed {msg}", o.id),
+    }
+}
+
+/// Whether the switch `name` is among `args`; strips it so the rest
+/// parse positionally.
+pub fn bool_flag(args: &mut Vec<String>, name: &str) -> bool {
+    let before = args.len();
+    args.retain(|a| a != name);
+    args.len() != before
+}
+
+/// The count given as `name N`, or `None` when `name` is absent. A
+/// missing or unparseable value exits with code 2, naming the flag.
+pub fn flag_value(args: &[String], name: &str) -> Option<usize> {
+    parse_flag(args, name).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
+fn parse_flag(args: &[String], name: &str) -> Result<Option<usize>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    let v = args.get(i + 1).ok_or(format!("{name} needs a value"))?;
+    let bad = |_| format!("{name} takes a count, not `{v}`");
+    v.parse().map(Some).map_err(bad)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn flags_parse_and_a_bad_value_names_its_flag() {
+        let args: Vec<String> = ["--jobs", "12", "--workers", "abc", "--seeds"]
+            .map(String::from)
+            .to_vec();
+        assert_eq!(parse_flag(&args, "--jobs"), Ok(Some(12)));
+        assert_eq!(parse_flag(&args, "--queue"), Ok(None));
+        assert_eq!(
+            parse_flag(&args, "--workers"),
+            Err("--workers takes a count, not `abc`".to_string())
+        );
+        assert_eq!(
+            parse_flag(&args, "--seeds"),
+            Err("--seeds needs a value".to_string())
+        );
+        let mut args = args;
+        assert!(bool_flag(&mut args, "--jobs"));
+        assert!(!bool_flag(&mut args, "--jobs"));
+        assert_eq!(args, ["12", "--workers", "abc", "--seeds"]);
+    }
     use slo_workloads::{census, PaperRow, CENSUS_SPECS};
 
     #[test]

@@ -418,14 +418,6 @@ pub fn record_load(stats: LoadStats) {
     merge(&bench_json_path(), &summary, |root| root.set("load", entry));
 }
 
-/// Whether `--json` is among the process arguments (and strip it from a
-/// caller-collected arg list so positional parsing stays simple).
-pub fn json_flag(args: &mut Vec<String>) -> bool {
-    let before = args.len();
-    args.retain(|a| a != "--json");
-    args.len() != before
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

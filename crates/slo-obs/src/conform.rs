@@ -1,18 +1,21 @@
 //! Conformance checks for the exported observability surfaces.
 //!
-//! Two validators, used both by the test suite and by the
-//! `slo trace-check` CLI subcommand (the CI `trace-smoke` job):
+//! Two validators, used by the test suite; the first also by the
+//! `slo trace-check` CLI subcommand (the CI `trace-smoke` job), the
+//! second also by the `load` bench:
 //!
 //! * [`check_chrome_trace`] — golden-schema validation of Chrome
 //!   `trace_event` JSON: every event has `name`/`cat`/`ph`/`ts`/`dur`/
 //!   `pid`/`tid`, phases are known letters, and complete (`"X"`) spans
 //!   nest properly per thread.
 //! * [`check_prometheus`] — line-by-line validation of the Prometheus
-//!   text exposition format emitted by `slo serve`'s `metrics prom`.
+//!   text exposition format emitted by `slo serve`'s `metrics prom`
+//!   (and written by [`crate::prom`]).
 //!
 //! The trace is parsed by the shared [`crate::json`] module.
 
 use crate::json::Json;
+use std::collections::HashSet;
 
 /// A summary of a schema-valid Chrome trace.
 #[derive(Debug, Clone, Default)]
@@ -166,8 +169,10 @@ impl PromSummary {
 /// shapes; sample lines are `name{labels} value` or `name value` with
 /// a valid metric identifier, balanced quoted label values and a
 /// parseable float; a sample whose base family has a `# TYPE` line
-/// must appear *after* it.
-pub fn check_prometheus(text: &str) -> Result<PromSummary, String> {
+/// must appear *after* it; a family has at most one `# TYPE` line; and
+/// a family's lines (`# HELP`, `# TYPE`, samples) form one group, not
+/// split by another family's lines.
+pub fn check_prometheus<'t>(text: &'t str) -> Result<PromSummary, String> {
     fn valid_metric_name(s: &str) -> bool {
         !s.is_empty()
             && s.chars()
@@ -177,8 +182,26 @@ pub fn check_prometheus(text: &str) -> Result<PromSummary, String> {
                 .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
     }
 
-    let mut typed: Vec<String> = Vec::new();
+    // Every family with a `# TYPE` line anywhere, for samples that
+    // precede theirs.
+    let declared: HashSet<&str> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE ")?.split_whitespace().next())
+        .collect();
+    let mut typed: Vec<&str> = Vec::new();
     let mut summary = PromSummary::default();
+    // The family whose lines are being read, and every family entered.
+    let mut current = "";
+    let mut entered: HashSet<&str> = HashSet::new();
+    let mut enter = |family: &'t str, n: usize| {
+        if family != current && !entered.insert(family) {
+            return Err(format!(
+                "line {n}: lines of '{family}' are split by another family's lines"
+            ));
+        }
+        current = family;
+        Ok(())
+    };
 
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.trim_end();
@@ -192,6 +215,7 @@ pub fn check_prometheus(text: &str) -> Result<PromSummary, String> {
                 if !valid_metric_name(name) {
                     return Err(format!("line {n}: HELP with invalid metric name '{name}'"));
                 }
+                enter(name, n)?;
             } else if let Some(body) = rest.strip_prefix("TYPE ") {
                 let mut it = body.split_whitespace();
                 let name = it.next().unwrap_or("");
@@ -205,7 +229,11 @@ pub fn check_prometheus(text: &str) -> Result<PromSummary, String> {
                 ) {
                     return Err(format!("line {n}: unknown metric type '{kind}'"));
                 }
-                typed.push(name.to_string());
+                if typed.contains(&name) {
+                    return Err(format!("line {n}: second # TYPE line for '{name}'"));
+                }
+                enter(name, n)?;
+                typed.push(name);
             }
             // Other comments are allowed and ignored.
             continue;
@@ -223,25 +251,9 @@ pub fn check_prometheus(text: &str) -> Result<PromSummary, String> {
             return Err(format!("line {n}: invalid metric name '{name_part}'"));
         }
         let value_part = if let Some(labels_rest) = rest.strip_prefix('{') {
-            // Scan to the closing brace, honouring quoted label values.
-            let mut in_str = false;
-            let mut esc = false;
-            let mut close = None;
-            for (i, c) in labels_rest.char_indices() {
-                if esc {
-                    esc = false;
-                } else if in_str && c == '\\' {
-                    esc = true;
-                } else if c == '"' {
-                    in_str = !in_str;
-                } else if !in_str && c == '}' {
-                    close = Some(i);
-                    break;
-                }
-            }
-            let close = close.ok_or_else(|| format!("line {n}: unterminated label set"))?;
-            let labels = &labels_rest[..close];
-            for pair in split_labels(labels) {
+            let (pairs, after) = split_labels(labels_rest)
+                .ok_or_else(|| format!("line {n}: unterminated label set"))?;
+            for pair in pairs {
                 let pair = pair.trim();
                 if pair.is_empty() {
                     continue;
@@ -257,7 +269,7 @@ pub fn check_prometheus(text: &str) -> Result<PromSummary, String> {
                     return Err(format!("line {n}: label value not quoted: '{v}'"));
                 }
             }
-            &labels_rest[close + 1..]
+            after
         } else {
             rest
         };
@@ -274,35 +286,35 @@ pub fn check_prometheus(text: &str) -> Result<PromSummary, String> {
             }
         }
 
-        // If the family is (ever) TYPEd, the TYPE must already have
-        // been seen: exposition order is HELP/TYPE before samples.
+        // A histogram's or summary's `_bucket`/`_sum`/`_count` samples
+        // belong to the TYPEd base family.
         let base = name_part
             .strip_suffix("_bucket")
             .or_else(|| name_part.strip_suffix("_sum"))
             .or_else(|| name_part.strip_suffix("_count"))
+            .filter(|b| !declared.contains(name_part) && declared.contains(b))
             .unwrap_or(name_part);
-        let declared_later = text.lines().any(|l| {
-            l.strip_prefix("# TYPE ")
-                .map(|b| b.split_whitespace().next() == Some(base))
-                .unwrap_or(false)
-        });
-        if declared_later && !typed.iter().any(|t| t == base || t == name_part) {
+        // If the family is (ever) TYPEd, the TYPE must already have
+        // been seen: exposition order is HELP/TYPE before samples.
+        if declared.contains(base) && !typed.contains(&base) {
             return Err(format!(
                 "line {n}: sample for '{name_part}' precedes its # TYPE line"
             ));
         }
+        enter(base, n)?;
         summary.samples += 1;
     }
 
-    typed.sort();
-    typed.dedup();
-    summary.families = typed;
+    typed.sort_unstable();
+    summary.families = typed.into_iter().map(str::to_string).collect();
     Ok(summary)
 }
 
-/// Split a label body on commas that are outside quoted values.
-fn split_labels(labels: &str) -> Vec<&str> {
-    let mut out = Vec::new();
+/// Split the label body after a `{` at the commas outside quoted
+/// values, up to the closing `}`; returns the pairs and the text after
+/// the `}`, or `None` when the set is unterminated.
+fn split_labels(labels: &str) -> Option<(Vec<&str>, &str)> {
+    let mut pairs = Vec::new();
     let mut start = 0;
     let mut in_str = false;
     let mut esc = false;
@@ -313,15 +325,15 @@ fn split_labels(labels: &str) -> Vec<&str> {
             esc = true;
         } else if c == '"' {
             in_str = !in_str;
-        } else if !in_str && c == ',' {
-            out.push(&labels[start..i]);
+        } else if !in_str && matches!(c, ',' | '}') {
+            pairs.push(&labels[start..i]);
+            if c == '}' {
+                return Some((pairs, &labels[i + 1..]));
+            }
             start = i + 1;
         }
     }
-    if start < labels.len() {
-        out.push(&labels[start..]);
-    }
-    out
+    None
 }
 
 #[cfg(test)]
@@ -416,5 +428,37 @@ slo_cache_hit_rate 0.5
             check_prometheus("m 1\n# TYPE m counter\n").is_err(),
             "sample before TYPE"
         );
+    }
+
+    #[test]
+    fn prometheus_rejects_a_second_type_line() {
+        let err = check_prometheus("# TYPE m counter\nm 1\n# TYPE m gauge\n").unwrap_err();
+        assert!(err.contains("second # TYPE line for 'm'"), "{err}");
+    }
+
+    #[test]
+    fn prometheus_rejects_a_split_family() {
+        let text = "\
+# TYPE a counter
+a{k=\"x\"} 1
+# TYPE b counter
+b 2
+a{k=\"y\"} 3
+";
+        let err = check_prometheus(text).unwrap_err();
+        assert!(err.contains("line 5: lines of 'a' are split"), "{err}");
+    }
+
+    #[test]
+    fn prometheus_groups_histogram_samples_under_their_family() {
+        let text = "\
+# TYPE h histogram
+h_bucket{le=\"+Inf\"} 2
+h_sum 0.5
+h_count 2
+# TYPE h_count_total counter
+h_count_total 1
+";
+        assert_eq!(check_prometheus(text).unwrap().samples, 4);
     }
 }

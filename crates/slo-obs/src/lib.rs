@@ -25,7 +25,9 @@
 //! golden-schema checker for the emitted Chrome trace (every event has
 //! `ph`/`ts`/`dur`/`name`, spans nest properly per thread) and a
 //! line-by-line validator for the Prometheus exposition format the
-//! service exports.
+//! service exports. The [`prom`] module is the one writer of that
+//! format: each metric family is declared once, and the writer groups
+//! samples under it.
 //!
 //! The [`json`] module is the workspace's one JSON value, parser and
 //! string/number writer, shared by the trace exporter and checker, the
@@ -58,6 +60,7 @@
 pub mod chrome;
 pub mod conform;
 pub mod json;
+pub mod prom;
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

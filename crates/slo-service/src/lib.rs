@@ -17,7 +17,9 @@
 //!   analysis over near-identical inputs is the dominant batch cost.
 //! * **Phase metrics** ([`MetricsSnapshot`]): queue wait, per-phase
 //!   timings, cache hit/miss, degradation, retry/quarantine and
-//!   fault-injection counters, exportable as JSON and Prometheus text.
+//!   fault-injection counters. The live counters are a snapshot behind
+//!   one lock; one table of readings renders them as JSON and as
+//!   Prometheus text (written by `slo_obs::prom`).
 //! * **Supervision** ([`Service::run_job`]): transient failures
 //!   (panics, exhausted budgets, injected faults) are retried with a
 //!   bounded deterministic backoff; deterministic failures never are;
@@ -82,7 +84,7 @@ pub use job::{
 };
 pub use journal::{job_key, Journal, JournalEntry};
 pub use manifest::{chaos_line, load_manifest, parse_job_line, MAX_LINE_LEN};
-pub use metrics::{MetricsSnapshot, ServiceMetrics};
+pub use metrics::MetricsSnapshot;
 pub use net::{NetConfig, NetServer, NetSnapshot};
 pub use pool::{par_map_bounded, par_map_supervised};
 pub use proto::{legacy_line, Reply, Request, Response, Session, WireError, PROTO_VERSION};

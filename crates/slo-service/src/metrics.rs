@@ -1,70 +1,16 @@
 //! Service-level phase metrics: queue wait, per-phase timings, cache
 //! hit/miss counters, degradation counts.
 //!
-//! Counters are lock-free atomics updated by the worker threads; a
-//! [`MetricsSnapshot`] is a consistent-enough point-in-time read used
-//! by the CLI's `--json` output and the bench load-generator's
-//! `BENCH_vm.json` table.
+//! The live counters are a [`MetricsSnapshot`] behind one lock in the
+//! [`crate::Service`]; a job's tallies land under one lock when it
+//! finishes. A copy is a point-in-time read used by the CLI's `--json`
+//! output, the `metrics` verbs and the bench binaries. Both of its
+//! renderings, the flat JSON object and the Prometheus exposition, read
+//! one table of rows, so each reading is named once.
 
 use slo_obs::json::write_num;
-use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
-
-/// Live counters owned by a [`crate::Service`].
-#[derive(Debug, Default)]
-pub struct ServiceMetrics {
-    pub(crate) jobs: AtomicU64,
-    pub(crate) optimized: AtomicU64,
-    pub(crate) degraded: AtomicU64,
-    pub(crate) degraded_transform: AtomicU64,
-    pub(crate) degraded_verification: AtomicU64,
-    pub(crate) degraded_budget: AtomicU64,
-    pub(crate) degraded_panic: AtomicU64,
-    pub(crate) degraded_fault: AtomicU64,
-    pub(crate) failed: AtomicU64,
-    pub(crate) panics: AtomicU64,
-    pub(crate) retries: AtomicU64,
-    pub(crate) quarantined: AtomicU64,
-    pub(crate) queue_wait_ns: AtomicU64,
-    pub(crate) fe_ns: AtomicU64,
-    pub(crate) ipa_ns: AtomicU64,
-    pub(crate) be_ns: AtomicU64,
-    pub(crate) exec_ns: AtomicU64,
-}
-
-impl ServiceMetrics {
-    pub(crate) fn add_duration(slot: &AtomicU64, d: Duration) {
-        slot.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// A point-in-time copy of every counter. The cache, store and
-    /// fault counters are owned elsewhere and read as zero here;
-    /// [`crate::Service::metrics`] fills them in.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let ld = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        MetricsSnapshot {
-            jobs: ld(&self.jobs),
-            optimized: ld(&self.optimized),
-            degraded: ld(&self.degraded),
-            degraded_transform: ld(&self.degraded_transform),
-            degraded_verification: ld(&self.degraded_verification),
-            degraded_budget: ld(&self.degraded_budget),
-            degraded_panic: ld(&self.degraded_panic),
-            degraded_fault: ld(&self.degraded_fault),
-            failed: ld(&self.failed),
-            panics: ld(&self.panics),
-            retries: ld(&self.retries),
-            quarantined: ld(&self.quarantined),
-            queue_wait_ns: ld(&self.queue_wait_ns),
-            fe_ns: ld(&self.fe_ns),
-            ipa_ns: ld(&self.ipa_ns),
-            be_ns: ld(&self.be_ns),
-            exec_ns: ld(&self.exec_ns),
-            ..MetricsSnapshot::default()
-        }
-    }
-}
+use slo_obs::prom::{Exposition, Family};
+use std::fmt;
 
 /// A consistent read of the service counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -128,6 +74,33 @@ pub struct MetricsSnapshot {
     pub exec_ns: u64,
 }
 
+/// A reading's value; its `Display` is the Prometheus sample value.
+#[derive(Clone, Copy)]
+enum Value {
+    Count(u64),
+    Rate(f64),
+    /// Nanoseconds in JSON, seconds in Prometheus.
+    Nanos(u64),
+}
+
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Value::Count(n) => write!(f, "{n}"),
+            Value::Rate(r) => write!(f, "{r}"),
+            Value::Nanos(ns) => write!(f, "{}", ns as f64 / 1e9),
+        }
+    }
+}
+
+/// One reading: its JSON key, its value, and its Prometheus family and
+/// label value. Either rendering may leave it out.
+type Row = (
+    Option<&'static str>,
+    Value,
+    Option<(&'static Family, Option<&'static str>)>,
+);
+
 impl MetricsSnapshot {
     /// Cache hit rate in `[0, 1]` (`0` when the cache was never asked).
     pub fn cache_hit_rate(&self) -> f64 {
@@ -152,40 +125,22 @@ impl MetricsSnapshot {
     /// The difference `self - earlier`, for per-batch readings off a
     /// long-lived service.
     pub fn since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        let mut faults_injected = self.faults_injected;
-        for (slot, &e) in faults_injected
-            .iter_mut()
-            .zip(earlier.faults_injected.iter())
-        {
-            *slot -= e;
+        // The struct literal names every field, so none is skipped.
+        macro_rules! minus {
+            ($($field:ident),*) => {
+                MetricsSnapshot {
+                    $($field: self.$field - earlier.$field,)*
+                    faults_injected: std::array::from_fn(|i| {
+                        self.faults_injected[i] - earlier.faults_injected[i]
+                    }),
+                }
+            };
         }
-        MetricsSnapshot {
-            jobs: self.jobs - earlier.jobs,
-            optimized: self.optimized - earlier.optimized,
-            degraded: self.degraded - earlier.degraded,
-            degraded_transform: self.degraded_transform - earlier.degraded_transform,
-            degraded_verification: self.degraded_verification - earlier.degraded_verification,
-            degraded_budget: self.degraded_budget - earlier.degraded_budget,
-            degraded_panic: self.degraded_panic - earlier.degraded_panic,
-            degraded_fault: self.degraded_fault - earlier.degraded_fault,
-            failed: self.failed - earlier.failed,
-            panics: self.panics - earlier.panics,
-            retries: self.retries - earlier.retries,
-            quarantined: self.quarantined - earlier.quarantined,
-            cache_hits: self.cache_hits - earlier.cache_hits,
-            cache_misses: self.cache_misses - earlier.cache_misses,
-            cache_evictions: self.cache_evictions - earlier.cache_evictions,
-            cache_reverified: self.cache_reverified - earlier.cache_reverified,
-            store_hits: self.store_hits - earlier.store_hits,
-            store_misses: self.store_misses - earlier.store_misses,
-            store_corrupt_drops: self.store_corrupt_drops - earlier.store_corrupt_drops,
-            store_bytes: self.store_bytes - earlier.store_bytes,
-            faults_injected,
-            queue_wait_ns: self.queue_wait_ns - earlier.queue_wait_ns,
-            fe_ns: self.fe_ns - earlier.fe_ns,
-            ipa_ns: self.ipa_ns - earlier.ipa_ns,
-            be_ns: self.be_ns - earlier.be_ns,
-            exec_ns: self.exec_ns - earlier.exec_ns,
+        minus! {
+            jobs, optimized, degraded, degraded_transform, degraded_verification, degraded_budget,
+            degraded_panic, degraded_fault, failed, panics, retries, quarantined, cache_hits,
+            cache_misses, cache_evictions, cache_reverified, store_hits, store_misses,
+            store_corrupt_drops, store_bytes, queue_wait_ns, fe_ns, ipa_ns, be_ns, exec_ns
         }
     }
 
@@ -194,57 +149,80 @@ impl MetricsSnapshot {
         self.faults_injected.iter().sum()
     }
 
-    /// A flat JSON object with every counter plus the derived hit rate
+    /// Every reading, in JSON key order, and every metric family. The
+    /// Prometheus exposition groups the readings by family in the order
+    /// families first appear here.
+    #[rustfmt::skip]
+    fn rows(&self) -> Vec<Row> {
+        use Value::{Count, Nanos, Rate};
+        const JOBS: Family = Family::counter("slo_jobs_total", "Jobs completed (any status).");
+        const BY_STATUS: Family = Family::counter("slo_jobs_by_status_total", "Jobs by final status.").label("status");
+        const DEGRADED: Family = Family::counter("slo_jobs_degraded_total", "Advisory downgrades by reason.").label("reason");
+        const PANICS: Family = Family::counter("slo_panics_total", "Panics caught and contained.");
+        const RETRIES: Family = Family::counter("slo_retries_total", "Supervisor retries of transient job failures.");
+        const QUARANTINED: Family = Family::counter("slo_quarantined_total", "Jobs quarantined after exhausting retries.");
+        const FAULTS: Family = Family::counter("slo_faults_injected_total", "Faults injected by the chaos plan, by site.").label("site");
+        const CACHE: Family = Family::counter("slo_cache_events_total", "Analysis-cache events.").label("event");
+        const CACHE_RATE: Family = Family::gauge("slo_cache_hit_rate", "Analysis-cache hit rate in [0, 1].");
+        const STORE: Family = Family::counter("slo_store_events_total", "Persistent-store events.").label("event");
+        const STORE_BYTES: Family = Family::counter("slo_store_bytes_written_total", "Bytes appended to store segments.");
+        const STORE_RATE: Family = Family::gauge("slo_store_hit_rate", "Persistent-store hit rate in [0, 1].");
+        const PHASE: Family = Family::counter("slo_phase_seconds_total", "Cumulative wall time per phase.").label("phase");
+        let both = |key, value, family, label| (Some(key), value, Some((family, label)));
+        let mut rows = vec![
+            both("jobs", Count(self.jobs), &JOBS, None),
+            both("optimized", Count(self.optimized), &BY_STATUS, Some("optimized")),
+            both("degraded", Count(self.degraded), &BY_STATUS, Some("advisory")),
+            both("degraded_transform", Count(self.degraded_transform), &DEGRADED, Some("transform")),
+            both("degraded_verification", Count(self.degraded_verification), &DEGRADED, Some("verification")),
+            both("degraded_budget", Count(self.degraded_budget), &DEGRADED, Some("budget")),
+            both("degraded_panic", Count(self.degraded_panic), &DEGRADED, Some("panic")),
+            both("degraded_fault", Count(self.degraded_fault), &DEGRADED, Some("fault")),
+            both("failed", Count(self.failed), &BY_STATUS, Some("failed")),
+            both("panics", Count(self.panics), &PANICS, None),
+            both("retries", Count(self.retries), &RETRIES, None),
+            both("quarantined", Count(self.quarantined), &QUARANTINED, None),
+            // One total in JSON, one sample per site in Prometheus.
+            (Some("faults_injected"), Count(self.faults_injected_total()), None),
+        ];
+        let sites = slo_chaos::ALL_SITES.iter().zip(self.faults_injected);
+        rows.extend(sites.map(|(site, n)| (None, Count(n), Some((&FAULTS, Some(site.name()))))));
+        rows.extend([
+            both("cache_hits", Count(self.cache_hits), &CACHE, Some("hit")),
+            both("cache_misses", Count(self.cache_misses), &CACHE, Some("miss")),
+            both("cache_evictions", Count(self.cache_evictions), &CACHE, Some("eviction")),
+            both("cache_reverified", Count(self.cache_reverified), &CACHE, Some("reverified")),
+            both("cache_hit_rate", Rate(self.cache_hit_rate()), &CACHE_RATE, None),
+            both("store_hits", Count(self.store_hits), &STORE, Some("hit")),
+            both("store_misses", Count(self.store_misses), &STORE, Some("miss")),
+            both("store_corrupt_drops", Count(self.store_corrupt_drops), &STORE, Some("corrupt_drop")),
+            both("store_bytes", Count(self.store_bytes), &STORE_BYTES, None),
+            both("store_hit_rate", Rate(self.store_hit_rate()), &STORE_RATE, None),
+            both("queue_wait_ns", Nanos(self.queue_wait_ns), &PHASE, Some("queue_wait")),
+            both("fe_ns", Nanos(self.fe_ns), &PHASE, Some("fe")),
+            both("ipa_ns", Nanos(self.ipa_ns), &PHASE, Some("ipa")),
+            both("be_ns", Nanos(self.be_ns), &PHASE, Some("be")),
+            both("exec_ns", Nanos(self.exec_ns), &PHASE, Some("exec")),
+        ]);
+        rows
+    }
+
+    /// A flat JSON object with every counter plus the derived hit rates
     /// (deterministic key order; consumed by `slo batch --json` and
     /// merged into `BENCH_vm.json` by the bench driver).
     pub fn to_json(&self) -> String {
         let mut s = String::from("{");
-        let mut first = true;
-        let mut num = |key: &str, v: f64, s: &mut String| {
-            let _ = write!(s, "{}\"{key}\": ", if first { "" } else { ", " });
-            write_num(s, v);
-            first = false;
-        };
-        num("jobs", self.jobs as f64, &mut s);
-        num("optimized", self.optimized as f64, &mut s);
-        num("degraded", self.degraded as f64, &mut s);
-        num("degraded_transform", self.degraded_transform as f64, &mut s);
-        num(
-            "degraded_verification",
-            self.degraded_verification as f64,
-            &mut s,
-        );
-        num("degraded_budget", self.degraded_budget as f64, &mut s);
-        num("degraded_panic", self.degraded_panic as f64, &mut s);
-        num("degraded_fault", self.degraded_fault as f64, &mut s);
-        num("failed", self.failed as f64, &mut s);
-        num("panics", self.panics as f64, &mut s);
-        num("retries", self.retries as f64, &mut s);
-        num("quarantined", self.quarantined as f64, &mut s);
-        num(
-            "faults_injected",
-            self.faults_injected_total() as f64,
-            &mut s,
-        );
-        num("cache_hits", self.cache_hits as f64, &mut s);
-        num("cache_misses", self.cache_misses as f64, &mut s);
-        num("cache_evictions", self.cache_evictions as f64, &mut s);
-        num("cache_reverified", self.cache_reverified as f64, &mut s);
-        num("cache_hit_rate", self.cache_hit_rate(), &mut s);
-        num("store_hits", self.store_hits as f64, &mut s);
-        num("store_misses", self.store_misses as f64, &mut s);
-        num(
-            "store_corrupt_drops",
-            self.store_corrupt_drops as f64,
-            &mut s,
-        );
-        num("store_bytes", self.store_bytes as f64, &mut s);
-        num("store_hit_rate", self.store_hit_rate(), &mut s);
-        num("queue_wait_ns", self.queue_wait_ns as f64, &mut s);
-        num("fe_ns", self.fe_ns as f64, &mut s);
-        num("ipa_ns", self.ipa_ns as f64, &mut s);
-        num("be_ns", self.be_ns as f64, &mut s);
-        num("exec_ns", self.exec_ns as f64, &mut s);
+        for (key, value, _) in self.rows() {
+            let Some(key) = key else { continue };
+            s.push_str(if s.len() > 1 { ", \"" } else { "\"" });
+            s.push_str(key);
+            s.push_str("\": ");
+            let v = match value {
+                Value::Count(n) | Value::Nanos(n) => n as f64,
+                Value::Rate(r) => r,
+            };
+            write_num(&mut s, v);
+        }
         s.push('}');
         s
     }
@@ -253,105 +231,13 @@ impl MetricsSnapshot {
     /// `slo serve`'s `metrics prom` command; validated line-by-line by
     /// `slo_obs::conform::check_prometheus`).
     pub fn to_prometheus(&self) -> String {
-        let mut s = String::new();
-        let secs = |ns: u64| ns as f64 / 1e9;
-        let _ = write!(
-            s,
-            "# HELP slo_jobs_total Jobs completed (any status).\n\
-             # TYPE slo_jobs_total counter\n\
-             slo_jobs_total {}\n\
-             # HELP slo_jobs_by_status_total Jobs by final status.\n\
-             # TYPE slo_jobs_by_status_total counter\n\
-             slo_jobs_by_status_total{{status=\"optimized\"}} {}\n\
-             slo_jobs_by_status_total{{status=\"advisory\"}} {}\n\
-             slo_jobs_by_status_total{{status=\"failed\"}} {}\n\
-             # HELP slo_jobs_degraded_total Advisory downgrades by reason.\n\
-             # TYPE slo_jobs_degraded_total counter\n\
-             slo_jobs_degraded_total{{reason=\"transform\"}} {}\n\
-             slo_jobs_degraded_total{{reason=\"verification\"}} {}\n\
-             slo_jobs_degraded_total{{reason=\"budget\"}} {}\n\
-             slo_jobs_degraded_total{{reason=\"panic\"}} {}\n\
-             slo_jobs_degraded_total{{reason=\"fault\"}} {}\n\
-             # HELP slo_panics_total Panics caught and contained.\n\
-             # TYPE slo_panics_total counter\n\
-             slo_panics_total {}\n\
-             # HELP slo_retries_total Supervisor retries of transient job failures.\n\
-             # TYPE slo_retries_total counter\n\
-             slo_retries_total {}\n\
-             # HELP slo_quarantined_total Jobs quarantined after exhausting retries.\n\
-             # TYPE slo_quarantined_total counter\n\
-             slo_quarantined_total {}\n",
-            self.jobs,
-            self.optimized,
-            self.degraded,
-            self.failed,
-            self.degraded_transform,
-            self.degraded_verification,
-            self.degraded_budget,
-            self.degraded_panic,
-            self.degraded_fault,
-            self.panics,
-            self.retries,
-            self.quarantined,
-        );
-        let _ = writeln!(
-            s,
-            "# HELP slo_faults_injected_total Faults injected by the chaos plan, by site.\n\
-             # TYPE slo_faults_injected_total counter"
-        );
-        for (site, count) in slo_chaos::ALL_SITES.iter().zip(self.faults_injected.iter()) {
-            let _ = writeln!(
-                s,
-                "slo_faults_injected_total{{site=\"{}\"}} {count}",
-                site.name()
-            );
+        let mut w = Exposition::default();
+        for (_, value, prom) in self.rows() {
+            if let Some((family, label)) = prom {
+                w.sample(family, label, value);
+            }
         }
-        let _ = write!(
-            s,
-            "# HELP slo_cache_events_total Analysis-cache events.\n\
-             # TYPE slo_cache_events_total counter\n\
-             slo_cache_events_total{{event=\"hit\"}} {}\n\
-             slo_cache_events_total{{event=\"miss\"}} {}\n\
-             slo_cache_events_total{{event=\"eviction\"}} {}\n\
-             slo_cache_events_total{{event=\"reverified\"}} {}\n\
-             # HELP slo_cache_hit_rate Analysis-cache hit rate in [0, 1].\n\
-             # TYPE slo_cache_hit_rate gauge\n\
-             slo_cache_hit_rate {}\n\
-             # HELP slo_store_events_total Persistent-store events.\n\
-             # TYPE slo_store_events_total counter\n\
-             slo_store_events_total{{event=\"hit\"}} {}\n\
-             slo_store_events_total{{event=\"miss\"}} {}\n\
-             slo_store_events_total{{event=\"corrupt_drop\"}} {}\n\
-             # HELP slo_store_bytes_written_total Bytes appended to store segments.\n\
-             # TYPE slo_store_bytes_written_total counter\n\
-             slo_store_bytes_written_total {}\n\
-             # HELP slo_store_hit_rate Persistent-store hit rate in [0, 1].\n\
-             # TYPE slo_store_hit_rate gauge\n\
-             slo_store_hit_rate {}\n\
-             # HELP slo_phase_seconds_total Cumulative wall time per phase.\n\
-             # TYPE slo_phase_seconds_total counter\n\
-             slo_phase_seconds_total{{phase=\"queue_wait\"}} {}\n\
-             slo_phase_seconds_total{{phase=\"fe\"}} {}\n\
-             slo_phase_seconds_total{{phase=\"ipa\"}} {}\n\
-             slo_phase_seconds_total{{phase=\"be\"}} {}\n\
-             slo_phase_seconds_total{{phase=\"exec\"}} {}\n",
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_evictions,
-            self.cache_reverified,
-            self.cache_hit_rate(),
-            self.store_hits,
-            self.store_misses,
-            self.store_corrupt_drops,
-            self.store_bytes,
-            self.store_hit_rate(),
-            secs(self.queue_wait_ns),
-            secs(self.fe_ns),
-            secs(self.ipa_ns),
-            secs(self.be_ns),
-            secs(self.exec_ns),
-        );
-        s
+        w.finish()
     }
 }
 
@@ -457,6 +343,22 @@ mod tests {
         assert!(j.contains("\"store_hits\": 0"));
         assert!(j.contains("\"store_hit_rate\": 0"));
         assert!(j.ends_with('}'));
+    }
+
+    #[test]
+    fn since_itself_is_zero_and_since_zero_is_itself() {
+        let mut faults_injected = [0; slo_chaos::NUM_SITES];
+        faults_injected[3] = 5;
+        let m = MetricsSnapshot {
+            jobs: 3,
+            degraded_fault: 1,
+            store_bytes: 4,
+            faults_injected,
+            exec_ns: 9,
+            ..Default::default()
+        };
+        assert_eq!(m.since(&m), MetricsSnapshot::default());
+        assert_eq!(m.since(&MetricsSnapshot::default()), m);
     }
 
     #[test]

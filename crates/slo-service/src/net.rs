@@ -41,12 +41,13 @@ use crate::manifest::MAX_LINE_LEN;
 use crate::proto::{Reply, Response, Session, WireError};
 use crate::service::Service;
 use slo_chaos::Site;
+use slo_obs::prom::{Exposition, Family};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Configuration for [`NetServer`].
@@ -223,30 +224,6 @@ fn release_client(g: &mut AdmInner, client: &str) {
 /// before folding the tail into `"other"`.
 const MAX_TRACKED_CLIENTS: usize = 32;
 
-#[derive(Default)]
-struct NetMetrics {
-    accepted: AtomicU64,
-    rejected: AtomicU64,
-    requests: AtomicU64,
-    shed: AtomicU64,
-    errors: AtomicU64,
-    disconnects: AtomicU64,
-    slow_closes: AtomicU64,
-    per_client: Mutex<HashMap<String, u64>>,
-}
-
-impl NetMetrics {
-    fn count_client(&self, client: &str) {
-        let mut m = self.per_client.lock().expect("client metrics lock");
-        let key = if m.contains_key(client) || m.len() < MAX_TRACKED_CLIENTS {
-            client
-        } else {
-            "other"
-        };
-        *m.entry(key.to_string()).or_insert(0) += 1;
-    }
-}
-
 /// A point-in-time copy of the ingress counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NetSnapshot {
@@ -270,59 +247,59 @@ pub struct NetSnapshot {
     /// High-water mark of the admission queue.
     pub queue_depth_peak: u64,
     /// Requests per client IP (bounded; the tail folds into `other`),
-    /// sorted by client for deterministic exposition.
+    /// sorted by client for lookup and deterministic exposition.
     pub per_client: Vec<(String, u64)>,
 }
 
 impl NetSnapshot {
+    /// Count one request line from `client`, folding clients beyond
+    /// the first [`MAX_TRACKED_CLIENTS`] into `"other"`.
+    fn count_request(&mut self, client: &str) {
+        self.requests += 1;
+        let find =
+            |v: &[(String, u64)], key: &str| v.binary_search_by(|(c, _)| c.as_str().cmp(key));
+        let mut key = client;
+        if find(&self.per_client, key).is_err() && self.per_client.len() >= MAX_TRACKED_CLIENTS {
+            key = "other";
+        }
+        match find(&self.per_client, key) {
+            Ok(i) => self.per_client[i].1 += 1,
+            Err(i) => self.per_client.insert(i, (key.to_string(), 1)),
+        }
+    }
+
     /// The ingress counters in the Prometheus text exposition format
     /// (appended to the service exposition for TCP `metrics prom`;
     /// validated by `slo_obs::conform::check_prometheus`).
+    #[rustfmt::skip]
     pub fn to_prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "# HELP slo_net_connections_total Ingress connections by event.\n\
-             # TYPE slo_net_connections_total counter\n\
-             slo_net_connections_total{{event=\"accepted\"}} {}\n\
-             slo_net_connections_total{{event=\"rejected\"}} {}\n\
-             slo_net_connections_total{{event=\"disconnected\"}} {}\n\
-             slo_net_connections_total{{event=\"slow_closed\"}} {}\n\
-             # HELP slo_net_requests_total Request lines received.\n\
-             # TYPE slo_net_requests_total counter\n\
-             slo_net_requests_total {}\n\
-             # HELP slo_net_shed_total Job lines shed by admission control.\n\
-             # TYPE slo_net_shed_total counter\n\
-             slo_net_shed_total {}\n\
-             # HELP slo_net_errors_total Protocol error replies written.\n\
-             # TYPE slo_net_errors_total counter\n\
-             slo_net_errors_total {}\n\
-             # HELP slo_net_queue_depth Job lines waiting for admission.\n\
-             # TYPE slo_net_queue_depth gauge\n\
-             slo_net_queue_depth {}\n\
-             # HELP slo_net_queue_depth_peak Admission queue high-water mark.\n\
-             # TYPE slo_net_queue_depth_peak gauge\n\
-             slo_net_queue_depth_peak {}\n\
-             # HELP slo_net_client_requests_total Requests per client IP.\n\
-             # TYPE slo_net_client_requests_total counter\n",
-            self.accepted,
-            self.rejected,
-            self.disconnects,
-            self.slow_closes,
-            self.requests,
-            self.shed,
-            self.errors,
-            self.queue_depth,
-            self.queue_depth_peak,
-        );
-        for (client, n) in &self.per_client {
-            let _ = writeln!(
-                s,
-                "slo_net_client_requests_total{{client=\"{client}\"}} {n}"
-            );
+        const CONNECTIONS: Family = Family::counter("slo_net_connections_total", "Ingress connections by event.").label("event");
+        const REQUESTS: Family = Family::counter("slo_net_requests_total", "Request lines received.");
+        const SHED: Family = Family::counter("slo_net_shed_total", "Job lines shed by admission control.");
+        const ERRORS: Family = Family::counter("slo_net_errors_total", "Protocol error replies written.");
+        const QUEUE_DEPTH: Family = Family::gauge("slo_net_queue_depth", "Job lines waiting for admission.");
+        const QUEUE_DEPTH_PEAK: Family = Family::gauge("slo_net_queue_depth_peak", "Admission queue high-water mark.");
+        const CLIENT_REQUESTS: Family = Family::counter("slo_net_client_requests_total", "Requests per client IP.").label("client");
+        let mut w = Exposition::default();
+        for (family, label, n) in [
+            (&CONNECTIONS, Some("accepted"), self.accepted),
+            (&CONNECTIONS, Some("rejected"), self.rejected),
+            (&CONNECTIONS, Some("disconnected"), self.disconnects),
+            (&CONNECTIONS, Some("slow_closed"), self.slow_closes),
+            (&REQUESTS, None, self.requests),
+            (&SHED, None, self.shed),
+            (&ERRORS, None, self.errors),
+            (&QUEUE_DEPTH, None, self.queue_depth),
+            (&QUEUE_DEPTH_PEAK, None, self.queue_depth_peak),
+        ] {
+            w.sample(family, label, n);
         }
-        s
+        // Declared even before any client is counted.
+        w.declare(&CLIENT_REQUESTS);
+        for (client, n) in &self.per_client {
+            w.sample(&CLIENT_REQUESTS, Some(client), n);
+        }
+        w.finish()
     }
 }
 
@@ -334,7 +311,9 @@ pub struct NetServer {
     cfg: NetConfig,
     shutdown: AtomicBool,
     admission: Admission,
-    metrics: NetMetrics,
+    /// The live ingress counters; the queue gauges stay zero here and
+    /// are read from [`Admission`] by [`NetServer::metrics`].
+    metrics: Mutex<NetSnapshot>,
 }
 
 impl NetServer {
@@ -352,7 +331,7 @@ impl NetServer {
             admission: Admission::new(&cfg),
             cfg,
             shutdown: AtomicBool::new(false),
-            metrics: NetMetrics::default(),
+            metrics: Mutex::default(),
         })
     }
 
@@ -380,28 +359,20 @@ impl NetServer {
 
     /// A point-in-time copy of the ingress counters.
     pub fn metrics(&self) -> NetSnapshot {
-        let ld = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let mut per_client: Vec<(String, u64)> = self
+        let mut snap = self
             .metrics
-            .per_client
             .lock()
-            .expect("client metrics lock")
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect();
-        per_client.sort();
-        NetSnapshot {
-            accepted: ld(&self.metrics.accepted),
-            rejected: ld(&self.metrics.rejected),
-            requests: ld(&self.metrics.requests),
-            shed: ld(&self.metrics.shed),
-            errors: ld(&self.metrics.errors),
-            disconnects: ld(&self.metrics.disconnects),
-            slow_closes: ld(&self.metrics.slow_closes),
-            queue_depth: self.admission.depth() as u64,
-            queue_depth_peak: self.admission.depth_peak.load(Ordering::Relaxed),
-            per_client,
-        }
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone();
+        snap.queue_depth = self.admission.depth() as u64;
+        snap.queue_depth_peak = self.admission.depth_peak.load(Ordering::Relaxed);
+        snap
+    }
+
+    /// Update the live counters under their lock (read through a
+    /// poisoned one).
+    fn tally(&self, update: impl FnOnce(&mut NetSnapshot)) {
+        update(&mut self.metrics.lock().unwrap_or_else(PoisonError::into_inner));
     }
 
     /// Serve until [`NetServer::request_shutdown`]: accept clients,
@@ -425,7 +396,7 @@ impl NetServer {
                         if storm || active.load(Ordering::SeqCst) >= self.cfg.max_clients {
                             // Over capacity (or a chaos-injected storm
                             // forcing that path): busy-reject politely.
-                            self.metrics.rejected.fetch_add(1, Ordering::Relaxed);
+                            self.tally(|m| m.rejected += 1);
                             service.trace().instant(
                                 "net",
                                 "reject",
@@ -437,7 +408,7 @@ impl NetServer {
                             self.write_busy(stream);
                             continue;
                         }
-                        self.metrics.accepted.fetch_add(1, Ordering::Relaxed);
+                        self.tally(|m| m.accepted += 1);
                         service.trace().instant(
                             "net",
                             "accept",
@@ -464,10 +435,7 @@ impl NetServer {
         service.trace().instant(
             "net",
             "drain",
-            vec![(
-                "requests",
-                self.metrics.requests.load(Ordering::Relaxed).into(),
-            )],
+            vec![("requests", self.metrics().requests.into())],
         );
         result
     }
@@ -552,7 +520,7 @@ impl NetServer {
                         ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
                     ) => {}
                 Err(_) => {
-                    self.metrics.disconnects.fetch_add(1, Ordering::Relaxed);
+                    self.tally(|m| m.disconnects += 1);
                     return;
                 }
             }
@@ -561,7 +529,7 @@ impl NetServer {
 
     /// Slow-read defense: error reply, count, close.
     fn close_slow(&self, stream: &mut TcpStream, why: &str) {
-        self.metrics.slow_closes.fetch_add(1, Ordering::Relaxed);
+        self.tally(|m| m.slow_closes += 1);
         let err = WireError {
             code: "slow-read",
             message: why.to_string(),
@@ -588,8 +556,7 @@ impl NetServer {
         if trimmed.is_empty() || trimmed.starts_with('#') {
             return true;
         }
-        self.metrics.requests.fetch_add(1, Ordering::Relaxed);
-        self.metrics.count_client(client);
+        self.tally(|m| m.count_request(client));
 
         // Control verbs bypass admission — they are cheap and must
         // work *especially* when the server is saturated.
@@ -602,7 +569,7 @@ impl NetServer {
             match self.admission.acquire(client) {
                 Admit::Permit => Some(()),
                 Admit::Shed { retry_after_ms } => {
-                    self.metrics.shed.fetch_add(1, Ordering::Relaxed);
+                    self.tally(|m| m.shed += 1);
                     service.trace().instant(
                         "net",
                         "shed",
@@ -632,7 +599,7 @@ impl NetServer {
         // on the floor — the client must reconnect and be answered
         // from the journal.
         if permit.is_some() && service.fault_plan().should_fire(Site::NetDisconnect) {
-            self.metrics.disconnects.fetch_add(1, Ordering::Relaxed);
+            self.tally(|m| m.disconnects += 1);
             let _ = stream.shutdown(std::net::Shutdown::Both);
             return false;
         }
@@ -646,13 +613,13 @@ impl NetServer {
                 let mut out = String::new();
                 for l in &lines {
                     if l.contains("\"status\":\"error\"") || l.starts_with("error: ") {
-                        self.metrics.errors.fetch_add(1, Ordering::Relaxed);
+                        self.tally(|m| m.errors += 1);
                     }
                     out.push_str(l);
                     out.push('\n');
                 }
                 if stream.write_all(out.as_bytes()).is_err() {
-                    self.metrics.disconnects.fetch_add(1, Ordering::Relaxed);
+                    self.tally(|m| m.disconnects += 1);
                     return false;
                 }
                 true
@@ -664,7 +631,7 @@ impl NetServer {
                     text.push_str(&self.metrics().to_prometheus());
                 }
                 if stream.write_all(text.as_bytes()).is_err() {
-                    self.metrics.disconnects.fetch_add(1, Ordering::Relaxed);
+                    self.tally(|m| m.disconnects += 1);
                     return false;
                 }
                 true
@@ -734,6 +701,60 @@ mod tests {
         assert_eq!(m.accepted, 1);
         assert_eq!(m.requests, 3);
         assert_eq!(m.shed, 0);
+    }
+
+    #[test]
+    fn tcp_metrics_prom_reply_is_one_conformant_exposition() {
+        let dir = tmpdir();
+        std::fs::write(dir.join("p.sir"), SIR).expect("write");
+        let service = Service::new(ServiceConfig::builder().workers(1).build());
+        let server = NetServer::bind(test_cfg(dir)).expect("bind");
+        let addr = server.local_addr().expect("addr");
+        let replies = std::thread::scope(|s| {
+            s.spawn(|| server.run(&service, None).expect("run"));
+            let replies = send_lines(addr, &["p.sir", "metrics prom", "quit"]);
+            server.request_shutdown();
+            replies
+        });
+        let job = Response::parse(&replies[0]).expect("job json");
+        assert_eq!(job.status, "optimized");
+        let text = replies[1..].join("\n");
+        let summary = slo_obs::conform::check_prometheus(&text).expect("valid exposition");
+        for family in [
+            "slo_jobs_total",
+            "slo_jobs_by_status_total",
+            "slo_jobs_degraded_total",
+            "slo_panics_total",
+            "slo_retries_total",
+            "slo_quarantined_total",
+            "slo_faults_injected_total",
+            "slo_cache_events_total",
+            "slo_cache_hit_rate",
+            "slo_store_events_total",
+            "slo_store_bytes_written_total",
+            "slo_store_hit_rate",
+            "slo_phase_seconds_total",
+            "slo_net_connections_total",
+            "slo_net_requests_total",
+            "slo_net_shed_total",
+            "slo_net_errors_total",
+            "slo_net_queue_depth",
+            "slo_net_queue_depth_peak",
+            "slo_net_client_requests_total",
+        ] {
+            assert!(summary.has(family), "missing family {family}");
+        }
+        assert_eq!(summary.families.len(), 20, "{:?}", summary.families);
+        // Service families first, then the ingress families.
+        let first_net = replies[1..]
+            .iter()
+            .position(|l| l.contains("slo_net_"))
+            .expect("net families");
+        assert!(replies[1 + first_net..]
+            .iter()
+            .all(|l| l.contains("slo_net_")));
+        assert!(text.contains("slo_jobs_total 1\n"));
+        assert!(text.contains("slo_net_requests_total 2\n"));
     }
 
     #[test]
@@ -830,6 +851,26 @@ mod tests {
         });
         assert_eq!(adm.depth(), 0);
         assert_eq!(adm.depth_peak.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn requests_from_clients_past_the_tracked_limit_fold_into_other() {
+        let mut snap = NetSnapshot::default();
+        for i in 0..MAX_TRACKED_CLIENTS + 2 {
+            snap.count_request(&format!("10.0.0.{i}"));
+        }
+        snap.count_request("10.0.0.0");
+        let count = |client: &str| {
+            snap.per_client
+                .iter()
+                .find(|(c, _)| c == client)
+                .map(|&(_, n)| n)
+        };
+        assert_eq!(snap.requests, MAX_TRACKED_CLIENTS as u64 + 3);
+        assert_eq!(snap.per_client.len(), MAX_TRACKED_CLIENTS + 1);
+        assert_eq!(count("10.0.0.0"), Some(2));
+        assert_eq!(count("other"), Some(2));
+        assert!(snap.per_client.windows(2).all(|w| w[0].0 < w[1].0));
     }
 
     #[test]

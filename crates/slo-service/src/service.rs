@@ -31,7 +31,7 @@ use crate::cache::{AnalysisCache, Lookup};
 use crate::job::{
     Degradation, Fault, Job, JobInput, JobMetrics, JobOutcome, JobStatus, Optimized, SchemeSpec,
 };
-use crate::metrics::{MetricsSnapshot, ServiceMetrics};
+use crate::metrics::MetricsSnapshot;
 use crate::pool::par_map_supervised;
 use crate::store::AnalysisStore;
 use slo::analysis::{ipa_fingerprint, WeightScheme};
@@ -41,7 +41,6 @@ use slo_ir::{fnv1a, printer::print_program, Program};
 use slo_vm::{ExecError, ExecOutcome, Feedback, VmOptions};
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
@@ -103,7 +102,9 @@ pub struct Service {
     cfg: ServiceConfig,
     cache: Mutex<AnalysisCache>,
     store: Option<Mutex<AnalysisStore>>,
-    metrics: ServiceMetrics,
+    /// The live counters; the cache, store and fault ones stay zero
+    /// here and are read from their owners by [`Service::metrics`].
+    metrics: Mutex<MetricsSnapshot>,
     trace: slo_obs::Recorder,
     chaos: FaultPlan,
     retry: RetryPolicy,
@@ -143,7 +144,7 @@ impl Service {
         Service {
             cache: Mutex::new(AnalysisCache::new(cfg.cache_capacity)),
             store: None,
-            metrics: ServiceMetrics::default(),
+            metrics: Mutex::default(),
             cfg,
             trace,
             chaos,
@@ -159,13 +160,6 @@ impl Service {
     pub fn with_store(mut self, store: AnalysisStore) -> Service {
         self.store = Some(Mutex::new(store));
         self
-    }
-
-    /// A copy of the persistent store's counters, when one is attached.
-    pub fn store_counters(&self) -> Option<crate::store::StoreCounters> {
-        self.store
-            .as_ref()
-            .map(|s| s.lock().expect("store lock").counters())
     }
 
     /// The fault plan threaded through this service (disabled unless
@@ -193,7 +187,7 @@ impl Service {
     /// A point-in-time copy of the service counters, with the cache's,
     /// the store's and the fault plan's counters read from their owners.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let mut snap = self.metrics.snapshot();
+        let mut snap = *self.metrics.lock().unwrap_or_else(PoisonError::into_inner);
         snap.faults_injected = self.chaos.injected_by_site();
         {
             // Plain counters: valid whatever a panicking holder left undone.
@@ -201,7 +195,8 @@ impl Service {
             (snap.cache_hits, snap.cache_misses, snap.cache_evictions) = cache.counters();
             snap.cache_reverified = cache.corrupt_drops();
         }
-        if let Some(c) = self.store_counters() {
+        if let Some(store) = &self.store {
+            let c = store.lock().expect("store lock").counters();
             snap.store_hits = c.hits;
             snap.store_misses = c.misses;
             snap.store_corrupt_drops = c.corrupt_drops;
@@ -258,7 +253,7 @@ impl Service {
             }
             match schedule.next_delay_ms() {
                 Some(delay_ms) => {
-                    self.metrics.retries.fetch_add(1, Ordering::Relaxed);
+                    self.tally(|m| m.retries += 1);
                     self.trace.instant(
                         "service",
                         "retry",
@@ -276,7 +271,7 @@ impl Service {
                     // The last advisory outcome is still returned —
                     // quarantine never demotes a job to `Failed`.
                     quarantined = true;
-                    self.metrics.quarantined.fetch_add(1, Ordering::Relaxed);
+                    self.tally(|m| m.quarantined += 1);
                     self.trace.instant(
                         "service",
                         "quarantine",
@@ -341,7 +336,7 @@ impl Service {
         let status = match quiet_catch_unwind(body) {
             Ok(status) => status,
             Err(payload) => {
-                self.metrics.panics.fetch_add(1, Ordering::Relaxed);
+                self.tally(|m| m.panics += 1);
                 let report = analysis_slot
                     .borrow()
                     .as_ref()
@@ -583,6 +578,12 @@ impl Service {
         })
     }
 
+    /// Update the live counters under their lock (plain counters: a
+    /// poisoned lock is read through).
+    fn tally(&self, update: impl FnOnce(&mut MetricsSnapshot)) {
+        update(&mut self.metrics.lock().unwrap_or_else(PoisonError::into_inner));
+    }
+
     /// Tally counters and assemble the outcome.
     fn finish(
         &self,
@@ -592,28 +593,29 @@ impl Service {
         attempts: u32,
         quarantined: bool,
     ) -> JobOutcome {
-        self.metrics.jobs.fetch_add(1, Ordering::Relaxed);
-        let slot = match &status {
-            JobStatus::Optimized(_) => &self.metrics.optimized,
-            JobStatus::Advisory { .. } => &self.metrics.degraded,
-            JobStatus::Failed(_) => &self.metrics.failed,
-        };
-        slot.fetch_add(1, Ordering::Relaxed);
-        if let JobStatus::Advisory { reason, .. } = &status {
-            let slot = match reason {
-                Degradation::Transform(_) => &self.metrics.degraded_transform,
-                Degradation::Verification(_) => &self.metrics.degraded_verification,
-                Degradation::Budget(_) => &self.metrics.degraded_budget,
-                Degradation::Panic(_) => &self.metrics.degraded_panic,
-                Degradation::Fault(_) => &self.metrics.degraded_fault,
-            };
-            slot.fetch_add(1, Ordering::Relaxed);
-        }
-        ServiceMetrics::add_duration(&self.metrics.queue_wait_ns, jm.queue_wait);
-        ServiceMetrics::add_duration(&self.metrics.fe_ns, jm.fe);
-        ServiceMetrics::add_duration(&self.metrics.ipa_ns, jm.ipa);
-        ServiceMetrics::add_duration(&self.metrics.be_ns, jm.be);
-        ServiceMetrics::add_duration(&self.metrics.exec_ns, jm.exec);
+        let ns = |d: std::time::Duration| d.as_nanos() as u64;
+        self.tally(|m| {
+            m.jobs += 1;
+            match &status {
+                JobStatus::Optimized(_) => m.optimized += 1,
+                JobStatus::Advisory { reason, .. } => {
+                    m.degraded += 1;
+                    *match reason {
+                        Degradation::Transform(_) => &mut m.degraded_transform,
+                        Degradation::Verification(_) => &mut m.degraded_verification,
+                        Degradation::Budget(_) => &mut m.degraded_budget,
+                        Degradation::Panic(_) => &mut m.degraded_panic,
+                        Degradation::Fault(_) => &mut m.degraded_fault,
+                    } += 1;
+                }
+                JobStatus::Failed(_) => m.failed += 1,
+            }
+            m.queue_wait_ns += ns(jm.queue_wait);
+            m.fe_ns += ns(jm.fe);
+            m.ipa_ns += ns(jm.ipa);
+            m.be_ns += ns(jm.be);
+            m.exec_ns += ns(jm.exec);
+        });
         JobOutcome {
             id: job.id.clone(),
             status,
