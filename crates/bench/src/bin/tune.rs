@@ -15,10 +15,40 @@ use bench::report::{record_table, TableStats};
 use slo_service::pool::par_map_bounded;
 use slo_workloads::{PaperRow, Workload};
 
+const USAGE: &str = "usage: tune mcf <n> <iters> [pbo] | art <n> <passes> \
+| moldyn <n> <steps> <neighbors> [pbo] | c <n> <iters> <unroll01> | cpp <n> <iters> [--json]";
+
+/// The workload, its numeric arguments in order, and whether `pbo`
+/// follows them; the error names the bad or missing argument.
+fn parse_args(args: &[String]) -> Result<(&str, Vec<i64>, bool), String> {
+    let workload = args.get(1).ok_or("missing workload")?;
+    let names: &[&str] = match workload.as_str() {
+        "mcf" | "cpp" => &["n", "iters"],
+        "art" => &["n", "passes"],
+        "moldyn" => &["n", "steps", "neighbors"],
+        "c" => &["n", "iters", "unroll01"],
+        other => return Err(format!("unknown workload `{other}`")),
+    };
+    let nums = names
+        .iter()
+        .enumerate()
+        .map(|(i, name)| {
+            let v = args.get(2 + i).ok_or(format!("missing <{name}>"))?;
+            v.parse()
+                .map_err(|_| format!("<{name}> takes a number, not `{v}`"))
+        })
+        .collect::<Result<_, String>>()?;
+    let pbo = args.get(2 + names.len()).is_some_and(|s| s == "pbo");
+    Ok((workload, nums, pbo))
+}
+
 fn main() {
     let mut args: Vec<String> = std::env::args().collect();
     let json = bench::bool_flag(&mut args, "--json");
-    let get = |i: usize| -> i64 { args[i].parse().expect("numeric arg") };
+    let (workload, n, pbo) = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}\n{USAGE}");
+        std::process::exit(2)
+    });
     let paper = PaperRow {
         types: 0,
         legal: 0,
@@ -27,39 +57,35 @@ fn main() {
         perf_pbo: None,
         perf_nopbo: None,
     };
-    let (program, pbo) = match args[1].as_str() {
+    let (program, pbo) = match workload {
         "mcf" => (
             slo_workloads::mcf::build_config(slo_workloads::mcf::McfConfig {
-                n: get(2),
-                iters: get(3),
+                n: n[0],
+                iters: n[1],
                 skew: 0,
             }),
-            args.get(4).map(|s| s == "pbo").unwrap_or(false),
+            pbo,
         ),
         "art" => (
             slo_workloads::art::build_config(slo_workloads::art::ArtConfig {
-                n: get(2),
-                passes: get(3),
+                n: n[0],
+                passes: n[1],
             }),
             false,
         ),
         "moldyn" => (
             slo_workloads::moldyn::build_config(slo_workloads::moldyn::MoldynConfig {
-                n: get(2),
-                steps: get(3),
-                neighbors: get(4),
+                n: n[0],
+                steps: n[1],
+                neighbors: n[2],
             }),
-            args.get(5).map(|s| s == "pbo").unwrap_or(false),
+            pbo,
         ),
         "c" => (
-            slo_workloads::casestudy::spec2006_c(get(2), get(3), get(4) != 0),
+            slo_workloads::casestudy::spec2006_c(n[0], n[1], n[2] != 0),
             false,
         ),
-        "cpp" => (
-            slo_workloads::casestudy::spec2006_cpp(get(2), get(3)),
-            false,
-        ),
-        other => panic!("unknown workload `{other}`"),
+        _ => (slo_workloads::casestudy::spec2006_cpp(n[0], n[1]), false),
     };
     let w = Workload {
         name: "tune",
@@ -118,5 +144,31 @@ fn main() {
                 cycles: row.cycles,
             },
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<(String, Vec<i64>, bool), String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&args).map(|(w, n, pbo)| (w.to_string(), n, pbo))
+    }
+
+    #[test]
+    fn arguments_parse_and_a_bad_one_is_named() {
+        assert_eq!(
+            parse("tune mcf 64 10 pbo"),
+            Ok(("mcf".into(), vec![64, 10], true))
+        );
+        assert_eq!(parse("tune cpp 8 2"), Ok(("cpp".into(), vec![8, 2], false)));
+        assert_eq!(parse("tune"), Err("missing workload".into()));
+        assert_eq!(
+            parse("tune cpp abc 2"),
+            Err("<n> takes a number, not `abc`".into())
+        );
+        assert_eq!(parse("tune moldyn 8 2"), Err("missing <neighbors>".into()));
+        assert_eq!(parse("tune gcc 1"), Err("unknown workload `gcc`".into()));
     }
 }

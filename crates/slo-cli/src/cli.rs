@@ -28,8 +28,8 @@ use slo::SloError;
 use slo_ir::parser::parse;
 use slo_ir::Program;
 use slo_service::{
-    legacy_line, Clock, FaultPlan, Journal, NetConfig, NetServer, Reply, RetryPolicy, Service,
-    ServiceConfig, Session,
+    legacy_line, Clock, FaultPlan, Journal, NetConfig, NetServer, Reply, RetryPolicy, SchemeSpec,
+    Service, ServiceConfig, Session,
 };
 use std::fmt::Write as _;
 use std::sync::Mutex;
@@ -226,18 +226,11 @@ fn scheme_for<'a>(opts: &Opts, feedback: Option<&'a Feedback>) -> Result<WeightS
     let name = opts
         .value("scheme")
         .unwrap_or(if feedback.is_some() { "pbo" } else { "ispbo" });
-    Ok(match (name.to_ascii_lowercase().as_str(), feedback) {
-        ("pbo", Some(fb)) => WeightScheme::Pbo(fb),
-        ("pbo", None) => {
-            return Err(SloError::Usage(
-                "scheme `pbo` needs --profile (a file, or bare to collect one)".into(),
-            ))
-        }
-        ("spbo", _) => WeightScheme::Spbo,
-        ("ispbo", _) => WeightScheme::Ispbo,
-        ("ispbo.no", _) => WeightScheme::IspboNo,
-        ("ispbo.w", _) => WeightScheme::IspboW,
-        (other, _) => return Err(SloError::Usage(format!("unknown scheme `{other}`"))),
+    let spec = SchemeSpec::parse(name).ok_or_else(|| {
+        SloError::Usage(format!("unknown scheme `{}`", name.to_ascii_lowercase()))
+    })?;
+    spec.weight_scheme(feedback).ok_or_else(|| {
+        SloError::Usage("scheme `pbo` needs --profile (a file, or bare to collect one)".into())
     })
 }
 
@@ -530,27 +523,34 @@ fn chaos_flag(opts: &Opts) -> Result<FaultPlan> {
     }
 }
 
-/// `--store DIR` → the persistent analysis store opened (and created)
-/// at DIR, sharing the service's recorder and fault plan; absent →
-/// `None`. The plan is shared deliberately: a chaos campaign's store
+/// The service `batch` and `serve` run, from `--workers`, `--cache`,
+/// `--chaos-seed` and `--store DIR`, with the number of records in the
+/// store it opened (and created) at DIR. The store shares the service's
+/// recorder and fault plan deliberately: a chaos campaign's store
 /// faults count in the same `injected_by_site` totals.
-fn store_flag(
-    opts: &Opts,
-    rec: &Recorder,
-    chaos: &FaultPlan,
-) -> Result<Option<slo_service::AnalysisStore>> {
+fn service_from(opts: &Opts, rec: &Recorder) -> Result<(Service, Option<usize>)> {
+    let cfg = ServiceConfig::builder()
+        .workers(flag_count(opts, "workers", 0)?)
+        .cache_capacity(flag_count(opts, "cache", 256)?)
+        .build();
+    let chaos = chaos_flag(opts)?;
+    let service = Service::with_chaos(
+        cfg,
+        rec.clone(),
+        chaos.clone(),
+        RetryPolicy::default(),
+        Clock::Real,
+    );
     match opts.value("store") {
         Some(p) => {
-            let store = slo_service::AnalysisStore::open(
-                std::path::Path::new(p),
-                rec.clone(),
-                chaos.clone(),
-            )
-            .map_err(|e| SloError::Io(format!("store `{p}`: {e}")))?;
-            Ok(Some(store))
+            let store =
+                slo_service::AnalysisStore::open(std::path::Path::new(p), rec.clone(), chaos)
+                    .map_err(|e| SloError::Io(format!("store `{p}`: {e}")))?;
+            let records = store.len();
+            Ok((service.with_store(store), Some(records)))
         }
         None if opts.has("store") => Err(SloError::Usage("--store needs a directory".into())),
-        None => Ok(None),
+        None => Ok((service, None)),
     }
 }
 
@@ -561,24 +561,9 @@ fn cmd_batch(args: &[String]) -> Result<String> {
             "batch: expected exactly one manifest file".into(),
         ));
     };
-    let workers = flag_count(&opts, "workers", 0)?;
-    let cache = flag_count(&opts, "cache", 256)?;
     let (rec, trace_path) = trace_recorder(&opts)?;
     let jobs = slo_service::load_manifest(std::path::Path::new(manifest))?;
-    let chaos = chaos_flag(&opts)?;
-    let mut service = Service::with_chaos(
-        ServiceConfig::builder()
-            .workers(workers)
-            .cache_capacity(cache)
-            .build(),
-        rec.clone(),
-        chaos.clone(),
-        RetryPolicy::default(),
-        Clock::Real,
-    );
-    if let Some(store) = store_flag(&opts, &rec, &chaos)? {
-        service = service.with_store(store);
-    }
+    let (service, _) = service_from(&opts, &rec)?;
     let outcomes = service.run_batch(&jobs);
     write_trace(&rec, trace_path.as_deref())?;
 
@@ -629,23 +614,10 @@ fn cmd_batch(args: &[String]) -> Result<String> {
 
 fn cmd_serve(args: &[String]) -> Result<String> {
     let opts = parse_opts(args);
-    let workers = flag_count(&opts, "workers", 0)?;
-    let cache = flag_count(&opts, "cache", 256)?;
     let legacy = opts.has("legacy-lines");
-    let chaos = chaos_flag(&opts)?;
-    let mut service = Service::with_chaos(
-        ServiceConfig::builder()
-            .workers(workers)
-            .cache_capacity(cache)
-            .build(),
-        Recorder::disabled(),
-        chaos.clone(),
-        RetryPolicy::default(),
-        Clock::Real,
-    );
-    if let Some(store) = store_flag(&opts, &Recorder::disabled(), &chaos)? {
-        println!("store: {} analysis record(s) on disk", store.len());
-        service = service.with_store(store);
+    let (service, records) = service_from(&opts, &Recorder::disabled())?;
+    if let Some(n) = records {
+        println!("store: {n} analysis record(s) on disk");
     }
     let journal: Option<Mutex<Journal>> = match opts.value("journal") {
         Some(p) => {

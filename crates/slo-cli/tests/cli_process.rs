@@ -400,25 +400,31 @@ fn serve_legacy_lines_keeps_the_old_format() {
     );
 }
 
-/// `--wire --workers 1` replies to the smoke manifest are pinned byte
-/// for byte by `examples/batch/smoke.wire` (CI diffs the release build
-/// against the same file).
+/// `--wire` replies to the smoke manifest are pinned byte for byte by
+/// `examples/batch/smoke.wire` at any worker count (CI diffs the
+/// release build against the same file).
 #[test]
 fn batch_wire_replies_match_the_committed_golden() {
-    let out = slo()
-        .args(["batch"])
-        .arg(smoke_manifest())
-        .args(["--wire", "--workers", "1"])
-        .output()
-        .expect("spawn slo");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
     let golden =
         std::fs::read_to_string(smoke_manifest().with_extension("wire")).expect("read smoke.wire");
-    assert_eq!(String::from_utf8_lossy(&out.stdout), golden);
+    for workers in ["1", "4"] {
+        let out = slo()
+            .args(["batch"])
+            .arg(smoke_manifest())
+            .args(["--wire", "--workers", workers])
+            .output()
+            .expect("spawn slo");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            golden,
+            "workers {workers}"
+        );
+    }
 }
 
 /// `optimize --profile --measure` evaluates against the instrumented

@@ -1,7 +1,9 @@
 //! Job descriptions and outcomes for the batch service.
 
+use slo::analysis::WeightScheme;
 use slo::Evaluation;
-use std::time::Duration;
+use slo_vm::Feedback;
+use std::time::{Duration, Instant};
 
 /// What program a job optimizes.
 #[derive(Debug, Clone)]
@@ -57,6 +59,18 @@ impl SchemeSpec {
             _ => return None,
         })
     }
+
+    /// The weight scheme this spec selects, weighting the profile-based
+    /// ones by `feedback`; `None` for a profile-based spec without it.
+    pub fn weight_scheme<'a>(&self, feedback: Option<&'a Feedback>) -> Option<WeightScheme<'a>> {
+        Some(match self {
+            SchemeSpec::Spbo => WeightScheme::Spbo,
+            SchemeSpec::Ispbo => WeightScheme::Ispbo,
+            SchemeSpec::IspboNo => WeightScheme::IspboNo,
+            SchemeSpec::IspboW => WeightScheme::IspboW,
+            SchemeSpec::Pbo | SchemeSpec::PboProfile(_) => WeightScheme::Pbo(feedback?),
+        })
+    }
 }
 
 /// Per-request resource budget. A job exceeding it degrades to
@@ -97,6 +111,17 @@ impl Budget {
     /// A per-run VM step ceiling with no wall-clock limit.
     pub fn steps(steps: u64) -> Self {
         Budget { wall: None, steps }
+    }
+}
+
+/// `Some(Degradation::Budget)` once a job's wall-clock `deadline` has
+/// passed.
+pub(crate) fn over_deadline(deadline: Option<Instant>) -> Option<Degradation> {
+    match deadline {
+        Some(d) if Instant::now() > d => {
+            Some(Degradation::Budget("wall-clock budget exhausted".into()))
+        }
+        _ => None,
     }
 }
 
@@ -296,6 +321,10 @@ pub struct JobMetrics {
     pub total: Duration,
     /// Whether the analysis came from the content-hash cache.
     pub cache_hit: bool,
+    /// Which computation or store read produced the job's analysis
+    /// (see [`crate::cache::Fetched::origin`]); `None` when the job got
+    /// none.
+    pub analysis_origin: Option<u64>,
 }
 
 /// The structured result the service returns for every submitted job —

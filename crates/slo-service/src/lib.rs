@@ -11,10 +11,12 @@
 //! * **Graceful degradation**: a job whose transform fails differential
 //!   verification, exhausts its budget, or panics downgrades to the §3
 //!   advisory report instead of failing the batch.
-//! * **Content-hash caching** ([`cache::AnalysisCache`]): the FE + IPA
+//! * **One analysis tier** ([`cache::AnalysisTier`]): the FE + IPA
 //!   half of the pipeline is memoized under a stable digest of the
-//!   normalized IR + scheme + config, with an LRU bound — repeated
-//!   analysis over near-identical inputs is the dominant batch cost.
+//!   normalized IR + scheme + config — repeated analysis over
+//!   near-identical inputs is the dominant batch cost. One lookup walks
+//!   the bounded LRU, the optional store and the keys in flight, so
+//!   each key is analyzed once however many workers ask for it.
 //! * **Phase metrics** ([`MetricsSnapshot`]): queue wait, per-phase
 //!   timings, cache hit/miss, degradation, retry/quarantine and
 //!   fault-injection counters. The live counters are a snapshot behind
@@ -33,7 +35,7 @@
 //!   every outcome to a write-ahead journal and replays it on restart,
 //!   so a killed session never recomputes completed jobs.
 //! * **Persistent analysis store** ([`store::AnalysisStore`]): an
-//!   append-only, crash-safe segment store layered under the LRU
+//!   append-only, crash-safe segment store, the tier's durable layer
 //!   (`slo batch/serve --store <dir>`) — analyses survive restarts and
 //!   SIGKILL, corrupt records are dropped, counted and recomputed,
 //!   never served.

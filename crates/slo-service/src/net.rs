@@ -38,7 +38,7 @@
 
 use crate::journal::Journal;
 use crate::manifest::MAX_LINE_LEN;
-use crate::proto::{Reply, Response, Session, WireError};
+use crate::proto::{notice_line, Reply, Request, Response, Session, WireError};
 use crate::service::Service;
 use slo_chaos::Site;
 use slo_obs::prom::{Exposition, Family};
@@ -443,15 +443,21 @@ impl NetServer {
     /// Best-effort busy reply on an over-capacity accept.
     fn write_busy(&self, mut stream: TcpStream) {
         let retry = self.admission.retry_hint(self.admission.depth());
-        let reply = if self.cfg.legacy {
-            format!("error: server busy, retry in {retry} ms\n")
-        } else {
-            let mut r = Response::shed("", retry);
-            r.code = Some("busy".to_string());
-            r.message = Some("connection limit reached".to_string());
-            format!("{}\n", r.to_json())
-        };
-        let _ = stream.write_all(reply.as_bytes());
+        let mut r = Response::shed("", retry);
+        r.code = Some("busy".to_string());
+        r.message = Some("connection limit reached".to_string());
+        self.write_notice(
+            &mut stream,
+            &format!("server busy, retry in {retry} ms"),
+            &r,
+        );
+    }
+
+    /// Write a notice line (see [`notice_line`]) in the configured reply
+    /// format; `false` when the write failed.
+    fn write_notice(&self, stream: &mut TcpStream, text: &str, response: &Response) -> bool {
+        let line = notice_line(self.cfg.legacy, text, response);
+        stream.write_all(format!("{line}\n").as_bytes()).is_ok()
     }
 
     /// One connection: newline-framed read loop with the slow-client
@@ -534,12 +540,7 @@ impl NetServer {
             code: "slow-read",
             message: why.to_string(),
         };
-        let reply = if self.cfg.legacy {
-            format!("error: {why}\n")
-        } else {
-            format!("{}\n", Response::error("", &err).to_json())
-        };
-        let _ = stream.write_all(reply.as_bytes());
+        self.write_notice(stream, why, &Response::error("", &err));
         let _ = stream.shutdown(std::net::Shutdown::Both);
     }
 
@@ -560,10 +561,7 @@ impl NetServer {
 
         // Control verbs bypass admission — they are cheap and must
         // work *especially* when the server is saturated.
-        let control = matches!(trimmed, "quit" | "exit" | "metrics" | "metrics prom")
-            || trimmed == "hello"
-            || trimmed.starts_with("hello ");
-        let permit = if control {
+        let permit = if Request::parse_control(trimmed).is_some() {
             None
         } else {
             match self.admission.acquire(client) {
@@ -579,12 +577,11 @@ impl NetServer {
                         ],
                     );
                     let id = trimmed.split_whitespace().next().unwrap_or("");
-                    let reply = if self.cfg.legacy {
-                        format!("error: overloaded, retry in {retry_after_ms} ms\n")
-                    } else {
-                        format!("{}\n", Response::shed(id, retry_after_ms).to_json())
-                    };
-                    return stream.write_all(reply.as_bytes()).is_ok();
+                    return self.write_notice(
+                        stream,
+                        &format!("overloaded, retry in {retry_after_ms} ms"),
+                        &Response::shed(id, retry_after_ms),
+                    );
                 }
                 Admit::Closed => return false,
             }

@@ -106,40 +106,27 @@ impl Request {
     /// come verbatim from the shared manifest validator.
     pub fn parse(dir: &Path, line: &str) -> Result<Request, WireError> {
         let line = line.trim();
-        match line {
-            "quit" | "exit" => return Ok(Request::Quit),
-            "metrics" => return Ok(Request::Metrics),
-            "metrics prom" => return Ok(Request::MetricsProm),
-            _ => {}
-        }
-        if line == "hello" || line.starts_with("hello ") {
-            let mut version = PROTO_VERSION;
-            for tok in line.split_whitespace().skip(1) {
-                match tok.split_once('=') {
-                    Some(("v", v)) => {
-                        version = v.parse().map_err(|_| {
-                            WireError::new("bad-request", format!("bad version `{v}`"))
-                        })?;
-                    }
-                    _ => {
-                        return Err(WireError::new(
-                            "bad-request",
-                            format!("unknown hello attribute `{tok}`"),
-                        ))
-                    }
-                }
-            }
-            if version != PROTO_VERSION {
-                return Err(WireError::new(
-                    "unsupported-version",
-                    format!("server speaks v={PROTO_VERSION}, client asked for v={version}"),
-                ));
-            }
-            return Ok(Request::Hello { version });
+        if let Some(control) = Request::parse_control(line) {
+            return control;
         }
         let jobs =
             parse_job_line(dir, line).map_err(|e| WireError::new(classify_parse_error(&e), e))?;
         Ok(Request::Jobs(jobs))
+    }
+
+    /// Parse a control verb — `hello [v=N]`, `quit`, `exit`, `metrics`,
+    /// `metrics prom` — from a trimmed line; `None` for a job line. The
+    /// TCP ingress asks this too: control verbs bypass admission.
+    pub fn parse_control(line: &str) -> Option<Result<Request, WireError>> {
+        Some(Ok(match line {
+            "quit" | "exit" => Request::Quit,
+            "metrics" => Request::Metrics,
+            "metrics prom" => Request::MetricsProm,
+            "hello" => Request::Hello {
+                version: PROTO_VERSION,
+            },
+            _ => return line.strip_prefix("hello ").map(parse_hello),
+        }))
     }
 
     /// The single derivation of a request's durable identity: FNV-1a
@@ -156,6 +143,44 @@ impl Request {
         }
         h
     }
+}
+
+/// A reply the server makes on its own account — an error, a shed or a
+/// busy notice — in either reply format: `error: <legacy>` for legacy
+/// clients, `response` as JSON otherwise.
+pub(crate) fn notice_line(legacy: bool, text: &str, response: &Response) -> String {
+    if legacy {
+        format!("error: {text}")
+    } else {
+        response.to_json()
+    }
+}
+
+/// The `hello` handshake from its attributes (`v=N`).
+fn parse_hello(attrs: &str) -> Result<Request, WireError> {
+    let mut version = PROTO_VERSION;
+    for tok in attrs.split_whitespace() {
+        match tok.split_once('=') {
+            Some(("v", v)) => {
+                version = v
+                    .parse()
+                    .map_err(|_| WireError::new("bad-request", format!("bad version `{v}`")))?;
+            }
+            _ => {
+                return Err(WireError::new(
+                    "bad-request",
+                    format!("unknown hello attribute `{tok}`"),
+                ))
+            }
+        }
+    }
+    if version != PROTO_VERSION {
+        return Err(WireError::new(
+            "unsupported-version",
+            format!("server speaks v={PROTO_VERSION}, client asked for v={version}"),
+        ));
+    }
+    Ok(Request::Hello { version })
 }
 
 /// One wire reply: a flat JSON object serialized to a single line.
@@ -450,11 +475,7 @@ impl<'a> Session<'a> {
 
     /// Render a protocol error in the session's reply format.
     pub fn render_error(&self, err: &WireError) -> String {
-        if self.legacy {
-            format!("error: {}", err.message)
-        } else {
-            Response::error("", err).to_json()
-        }
+        notice_line(self.legacy, &err.message, &Response::error("", err))
     }
 
     /// Handle one wire line end to end. Blank lines and comments yield

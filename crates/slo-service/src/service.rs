@@ -13,6 +13,12 @@
 //!
 //! A batch never aborts because one job went wrong.
 //!
+//! The FE + IPA half of a job is one call into the service's
+//! [`AnalysisTier`]: the LRU, the optional store and the analyses in
+//! flight behind one lookup. Jobs that share an analysis key analyze it
+//! once, whichever worker gets there first, so a reply does not depend
+//! on scheduling.
+//!
 //! # Supervision
 //!
 //! Every job runs under a supervisor: an outcome classified *transient*
@@ -27,19 +33,21 @@
 //! [`JobOutcome::quarantined`] set, so quarantine never moves a job
 //! down the degradation ladder.
 
-use crate::cache::{AnalysisCache, Lookup};
+use crate::cache::{AnalysisTier, Source};
 use crate::job::{
-    Degradation, Fault, Job, JobInput, JobMetrics, JobOutcome, JobStatus, Optimized, SchemeSpec,
+    over_deadline, Degradation, Fault, Job, JobInput, JobMetrics, JobOutcome, JobStatus, Optimized,
+    SchemeSpec,
 };
 use crate::metrics::MetricsSnapshot;
 use crate::pool::par_map_supervised;
 use crate::store::AnalysisStore;
-use slo::analysis::{ipa_fingerprint, WeightScheme};
+use slo::analysis::ipa_fingerprint;
 use slo::{Analysis, SloError};
 use slo_chaos::{Clock, FaultPlan, RetryPolicy};
 use slo_ir::{fnv1a, printer::print_program, Program};
 use slo_vm::{ExecError, ExecOutcome, Feedback, VmOptions};
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
@@ -100,8 +108,8 @@ impl ServiceConfigBuilder {
 #[derive(Debug)]
 pub struct Service {
     cfg: ServiceConfig,
-    cache: Mutex<AnalysisCache>,
-    store: Option<Mutex<AnalysisStore>>,
+    /// The LRU, the optional store and the analyses in flight.
+    tier: AnalysisTier,
     /// The live counters; the cache, store and fault ones stay zero
     /// here and are read from their owners by [`Service::metrics`].
     metrics: Mutex<MetricsSnapshot>,
@@ -142,8 +150,7 @@ impl Service {
         clock: Clock,
     ) -> Service {
         Service {
-            cache: Mutex::new(AnalysisCache::new(cfg.cache_capacity)),
-            store: None,
+            tier: AnalysisTier::new(cfg.cache_capacity, trace.clone(), chaos.clone()),
             metrics: Mutex::default(),
             cfg,
             trace,
@@ -153,12 +160,12 @@ impl Service {
         }
     }
 
-    /// Attach a persistent [`AnalysisStore`] as the durable tier under
-    /// the in-memory LRU: a cache miss falls through to disk before
+    /// Attach a persistent [`AnalysisStore`] as the analysis tier's
+    /// durable layer: an LRU miss falls through to disk before
     /// recomputing, and fresh computations are written back, so
     /// analyses survive process restarts (`slo batch/serve --store`).
     pub fn with_store(mut self, store: AnalysisStore) -> Service {
-        self.store = Some(Mutex::new(store));
+        self.tier = self.tier.with_store(store);
         self
     }
 
@@ -189,19 +196,7 @@ impl Service {
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = *self.metrics.lock().unwrap_or_else(PoisonError::into_inner);
         snap.faults_injected = self.chaos.injected_by_site();
-        {
-            // Plain counters: valid whatever a panicking holder left undone.
-            let cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
-            (snap.cache_hits, snap.cache_misses, snap.cache_evictions) = cache.counters();
-            snap.cache_reverified = cache.corrupt_drops();
-        }
-        if let Some(store) = &self.store {
-            let c = store.lock().expect("store lock").counters();
-            snap.store_hits = c.hits;
-            snap.store_misses = c.misses;
-            snap.store_corrupt_drops = c.corrupt_drops;
-            snap.store_bytes = c.bytes_written;
-        }
+        self.tier.counters_into(&mut snap);
         snap
     }
 
@@ -209,6 +204,11 @@ impl Service {
     /// outcome per job, in submission order. Worker threads killed by
     /// the chaos plan's pool site orphan their jobs to the supervising
     /// caller thread, so every job still completes.
+    ///
+    /// Cache attribution reads as if the jobs ran one by one in
+    /// submission order: of the jobs that shared one computation of an
+    /// analysis, the first submitted is the one that missed, whichever
+    /// worker claimed the key first.
     pub fn run_batch(&self, jobs: &[Job]) -> Vec<JobOutcome> {
         self.run_batch_since(jobs, Instant::now())
     }
@@ -218,9 +218,23 @@ impl Service {
     /// and queue-wait accounting should start at admission, not at the
     /// moment the worker shard begins.
     pub fn run_batch_since(&self, jobs: &[Job], submitted: Instant) -> Vec<JobOutcome> {
-        par_map_supervised(self.cfg.workers, jobs, &self.chaos, |job| {
+        let mut outcomes = par_map_supervised(self.cfg.workers, jobs, &self.chaos, |job| {
             self.run_job(job, submitted)
-        })
+        });
+        // Each origin has at most one miss: move it to the origin's
+        // first job in submission order.
+        let mut missed: HashMap<u64, bool> = HashMap::new();
+        for o in &outcomes {
+            if let Some(origin) = o.metrics.analysis_origin {
+                *missed.entry(origin).or_default() |= !o.metrics.cache_hit;
+            }
+        }
+        for m in outcomes.iter_mut().map(|o| &mut o.metrics) {
+            if let Some(missed) = m.analysis_origin.and_then(|k| missed.get_mut(&k)) {
+                m.cache_hit = !std::mem::take(missed);
+            }
+        }
+        outcomes
     }
 
     /// Run one job under supervision (used by `run_batch` and by the
@@ -367,7 +381,6 @@ impl Service {
         Ok(prog)
     }
 
-    #[allow(clippy::too_many_lines)]
     fn job_body(
         &self,
         job: &Job,
@@ -419,95 +432,47 @@ impl Service {
             },
             _ => None,
         };
-        let scheme = match (&job.scheme, &owned_fb) {
-            (SchemeSpec::Pbo | SchemeSpec::PboProfile(_), Some(fb)) => WeightScheme::Pbo(fb),
-            (SchemeSpec::Spbo, _) => WeightScheme::Spbo,
-            (SchemeSpec::IspboNo, _) => WeightScheme::IspboNo,
-            (SchemeSpec::IspboW, _) => WeightScheme::IspboW,
-            _ => WeightScheme::Ispbo,
-        };
-
-        if let Some(d) = over_deadline(deadline) {
-            return JobStatus::Advisory {
-                reason: d,
-                report: None,
-            };
-        }
+        let scheme = job
+            .scheme
+            .weight_scheme(owned_fb.as_ref())
+            .expect("a profile-based job has its feedback by now");
 
         // --- FE + IPA, memoized by content hash ----------------------
         // The printed input is both the key's text and, under an empty
         // plan, the reply's transformed program.
         let text = print_program(prog);
         let key = slo::analysis_cache_key_of_text(&text, &scheme, &job.config);
-        let cached = self.cache.lock().expect("cache lock").get_checked(key);
-        if matches!(cached, Lookup::Corrupt) {
-            // A poisoned entry failed fingerprint re-verification: it
-            // has been dropped; recompute below as on a plain miss.
-            self.trace.instant(
-                "service",
-                "cache-reverify",
-                vec![("job", job.id.as_str().into())],
-            );
-        }
-        let analysis = match cached {
-            Lookup::Hit(a) => {
-                self.trace.instant(
-                    "service",
-                    "cache-hit",
-                    vec![("job", job.id.as_str().into())],
-                );
-                jm.borrow_mut().cache_hit = true;
-                a
-            }
-            Lookup::Corrupt | Lookup::Miss => {
-                // The durable tier: an LRU miss falls through to the
-                // persistent store before recomputing. A store hit is
-                // promoted into the LRU; a corrupt or absent record is
-                // a miss and the fresh computation is written back.
-                let stored = self
-                    .store
-                    .as_ref()
-                    .and_then(|s| s.lock().expect("store lock").get(key));
-                let a = match stored {
-                    Some(a) => {
-                        self.trace.instant(
-                            "service",
-                            "store-hit",
-                            vec![("job", job.id.as_str().into())],
-                        );
-                        jm.borrow_mut().cache_hit = true;
-                        a
-                    }
-                    None => {
-                        let a =
-                            Arc::new(slo::analyze_with(prog, &scheme, &job.config, &self.trace));
-                        {
-                            let mut m = jm.borrow_mut();
-                            m.fe = a.fe;
-                            m.ipa = a.ipa_time;
-                        }
-                        if let Some(s) = &self.store {
-                            if let Err(e) = s.lock().expect("store lock").put(key, &a) {
-                                // A failed write only costs durability:
-                                // the job itself proceeds from memory.
-                                self.trace.instant(
-                                    "service",
-                                    "store-put-error",
-                                    vec![("error", e.to_string().into())],
-                                );
-                            }
-                        }
-                        a
-                    }
-                };
-                self.cache.lock().expect("cache lock").insert_chaotic(
-                    key,
-                    Arc::clone(&a),
-                    &self.chaos,
-                );
-                a
+        let fetched = match over_deadline(deadline) {
+            Some(late) => Err(late),
+            None => self.tier.get_or_analyze(key, deadline, || {
+                slo::analyze_with(prog, &scheme, &job.config, &self.trace)
+            }),
+        };
+        let fetched = match fetched {
+            Ok(f) => f,
+            Err(reason) => {
+                return JobStatus::Advisory {
+                    reason,
+                    report: None,
+                }
             }
         };
+        let job_arg = || vec![("job", job.id.as_str().into())];
+        if fetched.reverified {
+            // A poisoned LRU entry failed fingerprint re-verification
+            // and was dropped on the way.
+            self.trace.instant("service", "cache-reverify", job_arg());
+        }
+        let analysis = fetched.analysis;
+        let mut m = jm.borrow_mut();
+        m.cache_hit = fetched.source != Source::Computed;
+        m.analysis_origin = Some(fetched.origin);
+        match fetched.source {
+            Source::Lru | Source::Waited => self.trace.instant("service", "cache-hit", job_arg()),
+            Source::Store => self.trace.instant("service", "store-hit", job_arg()),
+            Source::Computed => (m.fe, m.ipa) = (analysis.fe, analysis.ipa_time),
+        }
+        drop(m);
         *analysis_slot.borrow_mut() = Some(Arc::clone(&analysis));
 
         if let Some(d) = over_deadline(deadline) {
@@ -663,16 +628,6 @@ fn run_failure(what: &str, e: SloError) -> Degradation {
         SloError::Vm(ExecError::Injected(site)) => Degradation::Fault(format!("{what}: {site}")),
         SloError::Vm(e) => Degradation::Verification(format!("{what} faulted: {e}")),
         e => Degradation::Verification(format!("{what}: {e}")),
-    }
-}
-
-/// `Some(Degradation::Budget)` once `deadline` has passed.
-fn over_deadline(deadline: Option<Instant>) -> Option<Degradation> {
-    match deadline {
-        Some(d) if Instant::now() > d => {
-            Some(Degradation::Budget("wall-clock budget exhausted".into()))
-        }
-        _ => None,
     }
 }
 

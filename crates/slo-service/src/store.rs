@@ -3,10 +3,10 @@
 //! content fingerprints as the in-memory cache
 //! ([`slo::analysis_cache_key`]).
 //!
-//! The store is the durable tier beneath [`crate::cache::AnalysisCache`]:
+//! The store is the durable layer of [`crate::cache::AnalysisTier`]:
 //! an LRU miss falls through to disk before recomputing, and a fresh
 //! computation is written back, so analysis results survive process
-//! restarts and SIGKILL — the warm-start half of ROADMAP item 2.
+//! restarts and SIGKILL.
 //!
 //! # On-disk format
 //!
@@ -23,7 +23,7 @@
 //! fails [`slo::decode_analysis`]'s structural validation) is dropped
 //! from the index, counted in [`StoreCounters::corrupt_drops`], and the
 //! caller recomputes: a corrupt record is never served. This extends
-//! the cache's `get_checked` re-verification discipline to disk, where
+//! the LRU's fingerprint re-verification discipline to disk, where
 //! the fingerprint alone would not suffice ([`ipa_fingerprint`] digests
 //! only the planner-relevant subset of an analysis).
 //!

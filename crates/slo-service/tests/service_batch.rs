@@ -76,22 +76,41 @@ fn expect_optimized(o: &JobOutcome) -> &slo_service::Optimized {
     }
 }
 
+/// Eight copies of one job analyze once at any worker count: a copy
+/// that asks while another computes waits and counts as a hit, just as
+/// it would after the first copy finished.
 #[test]
 fn identical_jobs_hit_the_cache_counters_say_so() {
-    let svc = service(1, 64);
-    let jobs: Vec<Job> = (0..8)
-        .map(|i| Job::from_source(format!("j{i}"), SAMPLE))
-        .collect();
-    let outcomes = svc.run_batch(&jobs);
-    assert!(outcomes
-        .iter()
-        .all(|o| matches!(o.status, JobStatus::Optimized(_))));
+    for workers in [1, 4] {
+        let rec = slo_obs::Recorder::enabled();
+        let svc = Service::with_trace(
+            ServiceConfig::builder()
+                .workers(workers)
+                .cache_capacity(64)
+                .build(),
+            rec.clone(),
+        );
+        let jobs: Vec<Job> = (0..8)
+            .map(|i| Job::from_source(format!("j{i}"), SAMPLE))
+            .collect();
+        let outcomes = svc.run_batch(&jobs);
+        assert!(outcomes
+            .iter()
+            .all(|o| matches!(o.status, JobStatus::Optimized(_))));
 
-    let m = svc.metrics();
-    assert_eq!(m.cache_misses, 1, "first job analyzes");
-    assert_eq!(m.cache_hits, 7, "the other seven reuse it");
-    // the hit/miss observation is also per-outcome
-    assert_eq!(outcomes.iter().filter(|o| o.metrics.cache_hit).count(), 7);
+        let m = svc.metrics();
+        assert_eq!(m.cache_misses, 1, "workers {workers}: first job analyzes");
+        assert_eq!(
+            m.cache_hits, 7,
+            "workers {workers}: the other seven reuse it"
+        );
+        // the hit/miss observation is also per-outcome, and the miss
+        // is the first job's, as with one worker
+        assert_eq!(outcomes.iter().filter(|o| o.metrics.cache_hit).count(), 7);
+        assert!(!outcomes[0].metrics.cache_hit, "workers {workers}");
+        let analyses = rec.events().iter().filter(|e| e.name == "legality").count();
+        assert_eq!(analyses, 1, "workers {workers}: one analysis");
+    }
 }
 
 #[test]
@@ -410,10 +429,9 @@ fn repeat_jobs_rerun_with_identical_fingerprints() {
         .expect("parse job line");
     assert_eq!(jobs.len(), 4, "repeat=4 expands to four jobs");
 
-    // One worker: with a concurrent pool, two copies can race past the
-    // cache lookup before either inserts, making the miss count 2 —
-    // the single-miss guarantee only holds for sequential submission.
-    let svc = service(1, 64);
+    // Four workers: a copy that asks while another analyzes waits for
+    // that analysis instead of running its own.
+    let svc = service(4, 64);
     let first = svc.run_batch(&jobs);
     let fps: Vec<u64> = first
         .iter()
